@@ -21,12 +21,6 @@ pub struct Config {
     /// parallelized per call but never pipelined across calls. This is
     /// the paper's "Mozart (-pipe)" ablation (Table 4).
     pub pipeline: bool,
-    /// When `true` (the default), stages run on the context's persistent
-    /// [worker pool](crate::pool): threads are created once and parked
-    /// between stages. When `false`, every stage spawns and joins scoped
-    /// threads — the historic behavior, kept as a measured ablation for
-    /// the `fig5_overheads` benchmark.
-    pub reuse_pool: bool,
     /// When `true` (the default), Merge outputs take the *placement*
     /// fast path where the split type supports it: the merged value is
     /// preallocated once and workers write result pieces directly at
@@ -90,7 +84,6 @@ impl Default for Config {
             batch_constant: 1.0,
             batch_override: None,
             pipeline: true,
-            reuse_pool: true,
             placement_merge: true,
             split_form: true,
             pedantic: cfg!(debug_assertions),
@@ -222,7 +215,6 @@ mod tests {
             batch_constant: 1.0,
             batch_override: None,
             pipeline: true,
-            reuse_pool: true,
             placement_merge: true,
             split_form: true,
             pedantic: true,

@@ -45,9 +45,6 @@ struct State {
     /// A shared plan cache attached with
     /// [`MozartContext::attach_plan_cache`].
     plan_cache: Option<Arc<PlanCache>>,
-    /// Session tag for shared-pool fairness accounting; defaults to the
-    /// context id.
-    session_tag: u64,
     /// Cooperative cancellation token
     /// ([`MozartContext::set_cancel_token`]): workers poll it at batch
     /// boundaries and abandon the evaluation with [`Error::Cancelled`].
@@ -73,7 +70,7 @@ impl EvalTrigger for ContextInner {
         // Errors surface on explicit `Future::get` / `evaluate` calls;
         // a protected read cannot return them, so they poison the state.
         let mut st = self.state.lock();
-        let _ = evaluate_locked(self, &mut st);
+        let _ = evaluate_locked(&mut st);
     }
 }
 
@@ -110,7 +107,6 @@ impl MozartContext {
                     pool: None,
                     attached_pool: None,
                     plan_cache: None,
-                    session_tag: id,
                     cancel: None,
                     trace_id: 0,
                     protected: Vec::new(),
@@ -143,15 +139,6 @@ impl MozartContext {
     /// and replay the memoized stage skeletons.
     pub fn attach_plan_cache(&self, cache: Arc<PlanCache>) -> &Self {
         self.inner.state.lock().plan_cache = Some(cache);
-        self
-    }
-
-    /// Set the session tag used for shared-pool fairness accounting
-    /// (defaults to the context id). Serving layers tag every request
-    /// context with its session so [`PoolStats::sessions`] aggregates
-    /// per client, not per short-lived context.
-    pub fn set_session_tag(&self, session: u64) -> &Self {
-        self.inner.state.lock().session_tag = session;
         self
     }
 
@@ -340,7 +327,7 @@ impl MozartContext {
     /// Evaluate all pending calls (the paper's `evaluate()`).
     pub fn evaluate(&self) -> Result<()> {
         let mut st = self.inner.state.lock();
-        evaluate_locked(&self.inner, &mut st)
+        evaluate_locked(&mut st)
     }
 
     /// Data of a graph value, if it has been produced.
@@ -398,7 +385,7 @@ impl MozartContext {
     }
 }
 
-fn evaluate_locked(inner: &ContextInner, st: &mut State) -> Result<()> {
+fn evaluate_locked(st: &mut State) -> Result<()> {
     if let Some(e) = &st.poisoned {
         return Err(e.clone());
     }
@@ -410,7 +397,7 @@ fn evaluate_locked(inner: &ContextInner, st: &mut State) -> Result<()> {
     // failure — so no side job outlives the evaluation that spawned it
     // and every user-visible value is materialized when control returns.
     let mut deferred: Vec<DeferredMerge> = Vec::new();
-    let result = evaluate_pending(inner, st, &mut deferred);
+    let result = evaluate_pending(st, &mut deferred);
     let joined = join_deferred(st, deferred);
     result.and(joined)
 }
@@ -432,11 +419,7 @@ fn join_deferred(st: &mut State, deferred: Vec<DeferredMerge>) -> Result<()> {
     result
 }
 
-fn evaluate_pending(
-    inner: &ContextInner,
-    st: &mut State,
-    deferred: &mut Vec<DeferredMerge>,
-) -> Result<()> {
+fn evaluate_pending(st: &mut State, deferred: &mut Vec<DeferredMerge>) -> Result<()> {
     // Tracing: mint a trace id on first use (serving layers install
     // theirs up front via `set_trace_id`) and carry the recorder + id
     // into every stage. `None` when tracing is off — the only cost then
@@ -480,28 +463,22 @@ fn evaluate_pending(
         );
     }
 
-    let _ = inner; // reserved for future per-context callbacks
-
-    // Make sure the persistent pool matches the configured parallelism:
-    // the calling thread participates in every stage, so the pool holds
-    // `workers - 1` threads. An attached shared pool always wins — the
-    // whole point of sharing is that this context spawns nothing. The
-    // spawn-per-stage ablation (`reuse_pool = false`) must not own idle
-    // pool threads, or it would misrepresent the no-pool baseline.
-    if st.attached_pool.is_some() {
-        st.pool = None;
-    } else if st.config.reuse_pool {
-        let want_pool_workers = st.config.workers.max(1) - 1;
-        let pool_matches = st
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.pool_workers() == want_pool_workers);
-        if !pool_matches {
-            st.pool = Some(PoolHandle::new(want_pool_workers));
+    // The pool every stage of this evaluation runs on. An attached
+    // shared pool always wins — the whole point of sharing is that this
+    // context spawns nothing. Otherwise the persistent context-owned
+    // pool must match the configured parallelism: the calling thread
+    // participates in every stage, so the pool holds `workers - 1`
+    // threads.
+    let pool = match &st.attached_pool {
+        Some(p) => p.clone(),
+        None => {
+            let want_pool_workers = st.config.workers.max(1) - 1;
+            match &st.pool {
+                Some(p) if p.pool_workers() == want_pool_workers => p.clone(),
+                _ => st.pool.insert(PoolHandle::new(want_pool_workers)).clone(),
+            }
         }
-    } else {
-        st.pool = None;
-    }
+    };
 
     // Plan-cache lookup: fingerprint the pending segment once per
     // evaluation. A hit replays the memoized stage skeletons (re-binding
@@ -544,7 +521,8 @@ fn evaluate_pending(
                         }
                         match bound {
                             Ok(stage) => {
-                                if let Err(e) = execute_locked(st, &stage, trace.as_ref(), deferred)
+                                if let Err(e) =
+                                    execute_locked(st, &pool, &stage, trace.as_ref(), deferred)
                                 {
                                     // Execution failures poison the
                                     // context either way; drop the entry
@@ -627,7 +605,7 @@ fn evaluate_pending(
         if let Some(r) = &mut recorder {
             r.record(&stage, &st.graph);
         }
-        execute_locked(st, &stage, trace.as_ref(), deferred)?;
+        execute_locked(st, &pool, &stage, trace.as_ref(), deferred)?;
     }
     if let (Some(cache), Some(recorder)) = (cache, recorder) {
         let fingerprint = recorder.fingerprint();
@@ -660,6 +638,7 @@ fn duration_ns(d: std::time::Duration) -> u64 {
 /// context on failure.
 fn execute_locked(
     st: &mut State,
+    pool: &WorkerPool,
     stage: &crate::planner::StagePlan,
     trace: Option<&TraceCtx>,
     deferred: &mut Vec<DeferredMerge>,
@@ -669,9 +648,6 @@ fn execute_locked(
         graph,
         config,
         stats,
-        pool,
-        attached_pool,
-        session_tag,
         cancel,
         ..
     } = st;
@@ -686,14 +662,12 @@ fn execute_locked(
         }
         stats.plans_verified += 1;
     }
-    let pool = attached_pool.as_ref().or(pool.as_ref()).map(|h| &**h);
     if let Err(e) = execute_stage(
         graph,
         stage,
         config,
         stats,
         pool,
-        *session_tag,
         cancel.as_ref(),
         trace,
         deferred,

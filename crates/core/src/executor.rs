@@ -89,7 +89,7 @@ use crate::error::{Error, Result};
 use crate::faultinject::{panic_message, CancelToken, FaultPhase, FaultPlan, WorkerAbort};
 use crate::graph::{DataflowGraph, ValueId};
 use crate::planner::{OutputKind, StagePlan};
-use crate::pool::{run_stage_scoped, Job, SideJob, WorkerPool};
+use crate::pool::{Job, SideJob, WorkerPool};
 use crate::split::{Placement, SplitForm, SplitInstance};
 use crate::stats::PhaseStats;
 use crate::trace::{SpanKind, TraceCtx, SERVICE_WORKER};
@@ -116,11 +116,11 @@ pub(crate) struct ExecStage {
     /// batch so output-presence checks see only this batch's pieces.
     produced_slots: Vec<u32>,
     num_slots: usize,
-    pub(crate) total_elements: u64,
+    total_elements: u64,
     /// Per-element footprint summed over the split inputs (split info
     /// API); `total_elements · sum_elem_bytes` is the stage's nominal
     /// split cost in bytes, the signal behind per-session byte budgets.
-    pub(crate) sum_elem_bytes: u64,
+    sum_elem_bytes: u64,
     batch: u64,
     /// Worker count for this stage (callers + pool workers), already
     /// capped by the number of batches.
@@ -360,11 +360,9 @@ pub(crate) struct WorkerOut {
 
 /// Execute one stage, materializing its outputs into the graph.
 ///
-/// `session` tags the pool job for per-session fairness accounting when
-/// the pool is shared between contexts (see
-/// [`PoolStats::sessions`](crate::stats::PoolStats)). Final merges that
-/// can be overlapped with subsequent planning are pushed onto
-/// `deferred` instead of running here; the caller must join every
+/// Multi-worker stages run on `pool`. Final merges that can be
+/// overlapped with subsequent planning are pushed onto `deferred`
+/// instead of running here; the caller must join every
 /// [`DeferredMerge`] before the evaluation returns.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_stage(
@@ -372,8 +370,7 @@ pub(crate) fn execute_stage(
     stage: &StagePlan,
     config: &Config,
     stats: &mut PhaseStats,
-    pool: Option<&WorkerPool>,
-    session: u64,
+    pool: &WorkerPool,
     cancel: Option<&Arc<CancelToken>>,
     trace: Option<&TraceCtx>,
     deferred: &mut Vec<DeferredMerge>,
@@ -416,20 +413,12 @@ pub(crate) fn execute_stage(
     }
     let prealloc = cpu_elapsed(t_alloc, thread_cpu_now());
 
-    let job = Job::new(exec, session);
+    let job = Job::new(exec);
 
     let mut outs: Vec<WorkerOut> = if job.exec.participants <= 1 {
         vec![run_worker(&job.exec, &job.cursor, &job.failed, 0)?]
-    } else if let Some(pool) = pool {
-        // Whatever `config.reuse_pool` says, a provided pool is used:
-        // an attached shared pool must never be bypassed by a session
-        // config that happens to disable context-owned pools.
-        pool.run_stage(&job)?
     } else {
-        // Spawn-per-stage ablation for the fig5 overhead benchmark
-        // (`reuse_pool = false`, no attached pool): the context owns no
-        // pool in this mode.
-        run_stage_scoped(&job)?
+        pool.run_stage(&job)?
     };
     let exec = &job.exec;
 
@@ -513,7 +502,7 @@ pub(crate) fn execute_stage(
         // Merge-size hint (ROADMAP): the final merged value covers the
         // stage's whole element range, so concat-style mergers can
         // preallocate once instead of growing per piece.
-        if let (true, Some(pool)) = (config.placement_merge && mo.last_use, pool) {
+        if config.placement_merge && mo.last_use {
             // Overlapped final merge: nothing later in the graph reads
             // this value, so the concat can ride on a pool worker while
             // the caller plans and executes subsequent stages.

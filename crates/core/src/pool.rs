@@ -17,34 +17,10 @@
 //! worth of threads instead of oversubscribing it with one pool per
 //! context.
 //!
-//! # Deficit-weighted round-robin across sessions
-//!
-//! Idle workers do **not** simply serve the oldest open job: a hot
-//! tenant submitting stage after stage would then monopolize the pool
-//! while a light tenant's occasional job waited behind it. Instead every
-//! session carries a *weight* ([`WorkerPool::set_session_weight`],
-//! default 1) and a *virtual service time* that advances by
-//! `batches / weight` whenever one of its jobs completes. Workers pick
-//! the open job of the session with the smallest virtual time — the
-//! most-underserved session per unit weight — with queue order breaking
-//! ties, so over time each session's batch share converges to its
-//! weight share of the contended pool.
-//!
-//! Two bounds keep this well-behaved:
-//!
-//! * **Deficit cap.** A session that went idle stops advancing its
-//!   virtual clock; re-admitted naively it would hold absolute priority
-//!   until it caught up to the hot sessions. On submit, a session's
-//!   virtual time is therefore clamped to at most
-//!   [`DEFICIT_CAP_BATCHES`] weighted batches behind the furthest-ahead
-//!   session — a bounded burst credit, not an unbounded debt.
-//! * **Caller participation.** The submitting thread always runs its
-//!   own job, so even a session the scheduler never favors progresses
-//!   at single-thread speed — no session can be starved outright.
-//!
-//! [`WorkerPool::set_fair_scheduling`]`(false)` restores the historic
-//! FIFO scan as a measured ablation (the `serve_throughput` benchmark
-//! compares both).
+//! Idle workers serve side jobs first, then the oldest open stage job
+//! (FIFO). The submitting thread always runs its own job as worker 0,
+//! so even a session that never gets a pool worker progresses at
+//! single-thread speed — no session can be starved outright.
 //!
 //! Scheduling within a job is dynamic: instead of carving the element
 //! range into one static span per worker, every participant claims the
@@ -57,13 +33,9 @@
 //!
 //! Per-job bookkeeping (claimed batches and cursor claims per
 //! participant, batches that static partitioning would have given to
-//! another worker, park/unpark transitions, per-session job and batch
-//! totals) is aggregated into [`PoolStats`]; see
-//! `MozartContext::pool_stats` and `PoolHandle::stats`.
-//!
-//! `run_stage_scoped` preserves the old spawn-per-stage behavior
-//! behind `Config::reuse_pool = false` as a measured ablation for the
-//! `fig5_overheads` benchmark; it is not used otherwise.
+//! another worker, park/unpark transitions) is aggregated into
+//! [`PoolStats`]; see `MozartContext::pool_stats` and
+//! `PoolHandle::stats`.
 //!
 //! # Panic isolation and worker respawn
 //!
@@ -82,15 +54,15 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::error::{Error, Result};
 use crate::executor::{run_worker, ExecStage, WorkerOut};
 use crate::faultinject::{panic_message, FaultPhase};
-use crate::stats::{PoolStats, SessionPoolStats};
+use crate::stats::PoolStats;
 
 /// One stage dispatched to the pool: the immutable stage description,
 /// the shared batch cursor workers claim ranges from, and completion
@@ -108,16 +80,6 @@ pub(crate) struct Job {
     pub(crate) cursor: AtomicU64,
     /// Set when any participant fails, so the others stop claiming.
     pub(crate) failed: AtomicBool,
-    /// Session tag of the submitting context (fairness accounting).
-    session: u64,
-    /// Nominal bytes this stage splits (`total_elements · Σ elem bytes`
-    /// from the split info API), charged to the session's byte totals.
-    bytes: u64,
-    /// Batches served by pool workers (ticket >= 1; the submitting
-    /// caller's share is excluded). Observability only: the DRR clock
-    /// charges *total* service (see [`SessionEntry::vtime`]), but this
-    /// split shows how the contended worker capacity was divided.
-    worker_batches: AtomicU64,
     /// Cleared once the job is closed or fully ticketed, so queue scans
     /// skip it without taking its state lock.
     open: AtomicBool,
@@ -143,16 +105,12 @@ struct JobState {
 }
 
 impl Job {
-    /// Wrap a stage for execution on behalf of `session`.
-    pub(crate) fn new(exec: ExecStage, session: u64) -> Arc<Job> {
-        let bytes = exec.total_elements.saturating_mul(exec.sum_elem_bytes);
+    /// Wrap a stage for execution.
+    pub(crate) fn new(exec: ExecStage) -> Arc<Job> {
         Arc::new(Job {
             exec,
             cursor: AtomicU64::new(0),
             failed: AtomicBool::new(false),
-            session,
-            bytes,
-            worker_batches: AtomicU64::new(0),
             open: AtomicBool::new(true),
             tickets: AtomicUsize::new(1),
             state: Mutex::new(JobState::default()),
@@ -182,8 +140,7 @@ impl Job {
 /// contexts sharing the pool may each have a job queued; workers drain
 /// side jobs first (they are short, and they unblock user-visible
 /// results of an *earlier* stage), then serve the oldest open stage
-/// job, which keeps sessions coarsely fair (no session's stage can be
-/// starved by later arrivals).
+/// job.
 struct Queue {
     jobs: VecDeque<Arc<Job>>,
     side: VecDeque<Arc<SideJob>>,
@@ -259,62 +216,6 @@ impl SideJob {
     }
 }
 
-/// Per-session scheduling and accounting state (see the module docs on
-/// deficit-weighted round-robin).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SessionEntry {
-    /// Completed pool jobs.
-    jobs: u64,
-    /// Batches processed across all participants of this session's jobs.
-    batches: u64,
-    /// Of those, batches served by pool workers (submitting callers
-    /// excluded) — the contended capacity DRR divides.
-    worker_batches: u64,
-    /// Nominal bytes split by this session's pool jobs.
-    bytes: u64,
-    /// Fair-share weight (>= 1); a weight-2 session is entitled to twice
-    /// the contended batch share of a weight-1 session.
-    weight: u32,
-    /// Weighted virtual service time: advances by
-    /// `batches · VTIME_SCALE / weight` per completed job, counting the
-    /// session's *total* service — pool-worker batches and the
-    /// submitting caller's own. Charging self-service is deliberate: a
-    /// session whose caller drains its own jobs is demonstrably getting
-    /// work done, so the scarce pool assist tilts toward sessions that
-    /// are not. Workers serve the open job of the session with the
-    /// smallest value.
-    vtime: u64,
-    /// Jobs currently queued or running. A session with open jobs is
-    /// never folded into the overflow bucket — evicting it would split
-    /// its accounting across two entries when the jobs complete.
-    open_jobs: u32,
-}
-
-impl Default for SessionEntry {
-    fn default() -> Self {
-        SessionEntry {
-            jobs: 0,
-            batches: 0,
-            worker_batches: 0,
-            bytes: 0,
-            weight: 1,
-            vtime: 0,
-            open_jobs: 0,
-        }
-    }
-}
-
-/// Fixed-point scale of [`SessionEntry::vtime`] (so integer division by
-/// the weight keeps sub-batch resolution).
-const VTIME_SCALE: u64 = 1024;
-
-/// Deficit cap, in weighted batches: on submit, a session's virtual time
-/// is clamped to at most this many weighted batches behind the
-/// furthest-ahead session, bounding the burst a long-idle session can
-/// claim when it returns (and, symmetrically, how long it can hold
-/// strict priority over the hot sessions).
-pub const DEFICIT_CAP_BATCHES: u64 = 256;
-
 /// Monotonic counters aggregated across jobs (see [`PoolStats`]).
 struct Counters {
     jobs: AtomicU64,
@@ -332,57 +233,6 @@ struct Counters {
     /// Cursor claims per participant slot (one claim may cover a guided
     /// span of several batches; see the module docs).
     per_worker_claims: Vec<AtomicU64>,
-    /// Per-session scheduling and accounting entries, keyed by the
-    /// submitting context's session tag. Bounded: once
-    /// `MAX_TRACKED_SESSIONS` distinct tags are live, the least-used
-    /// *idle* entry is folded into the catch-all [`OVERFLOW_SESSION`]
-    /// bucket, so a server opening one session per connection cannot
-    /// grow this map without limit.
-    sessions: Mutex<HashMap<u64, SessionEntry>>,
-}
-
-/// Cap on individually tracked session tags (see [`Counters::sessions`]).
-const MAX_TRACKED_SESSIONS: usize = 64;
-
-/// Synthetic session tag aggregating evicted sessions' totals.
-pub const OVERFLOW_SESSION: u64 = u64::MAX;
-
-/// Fetch (or create) the entry for `session`, evicting one idle entry
-/// first if the map is at capacity and the tag is new.
-fn session_entry(sessions: &mut HashMap<u64, SessionEntry>, session: u64) -> &mut SessionEntry {
-    if sessions.len() >= MAX_TRACKED_SESSIONS && !sessions.contains_key(&session) {
-        evict_one_idle(sessions);
-    }
-    sessions.entry(session).or_default()
-}
-
-/// Fold the least-used *idle* tracked session into the overflow bucket.
-///
-/// Sessions with jobs currently open are skipped: evicting a live
-/// session would let its in-flight completions re-create a fresh entry
-/// and split its totals across two buckets — corrupting exactly the
-/// per-session batch counts the deficit-weighted scheduler ranks by.
-/// If every candidate is live the map transiently exceeds the cap
-/// (bounded by the number of concurrently open jobs).
-///
-/// Among idle candidates, default-weight entries go first: eviction
-/// drops an entry's weight and virtual time, so a session whose
-/// operator explicitly set a non-default weight keeps its entry as
-/// long as any default-weight idle session can be folded instead.
-fn evict_one_idle(sessions: &mut HashMap<u64, SessionEntry>) {
-    let victim = sessions
-        .iter()
-        .filter(|(&s, e)| s != OVERFLOW_SESSION && e.open_jobs == 0)
-        .min_by_key(|(_, e)| (e.weight != 1, e.jobs))
-        .map(|(&s, _)| s);
-    if let Some(victim) = victim {
-        let e = sessions.remove(&victim).unwrap_or_default();
-        let overflow = sessions.entry(OVERFLOW_SESSION).or_default();
-        overflow.jobs += e.jobs;
-        overflow.batches += e.batches;
-        overflow.worker_batches += e.worker_batches;
-        overflow.bytes += e.bytes;
-    }
 }
 
 impl Counters {
@@ -402,59 +252,12 @@ impl Counters {
             }
         }
     }
-
-    /// Session accounting at job submit: count the job open and clamp
-    /// the session's virtual time to the deficit cap (module docs).
-    fn note_submit(&self, session: u64) {
-        let mut sessions = lock(&self.sessions);
-        let max_vtime = sessions.values().map(|e| e.vtime).max().unwrap_or(0);
-        let entry = session_entry(&mut sessions, session);
-        entry.open_jobs += 1;
-        let floor = max_vtime.saturating_sub(DEFICIT_CAP_BATCHES * VTIME_SCALE);
-        entry.vtime = entry.vtime.max(floor);
-    }
-
-    /// Session accounting at job completion: fold in the served batches
-    /// and bytes and advance the session's virtual time by its weighted
-    /// service.
-    fn note_complete(&self, session: u64, batches: u64, worker_batches: u64, bytes: u64) {
-        let mut sessions = lock(&self.sessions);
-        let entry = session_entry(&mut sessions, session);
-        entry.jobs += 1;
-        entry.batches += batches;
-        entry.worker_batches += worker_batches;
-        entry.bytes += bytes;
-        entry.open_jobs = entry.open_jobs.saturating_sub(1);
-        // Every job advances the clock by at least one batch so a
-        // stream of degenerate jobs still rotates fairly.
-        entry.vtime += batches.max(1) * VTIME_SCALE / u64::from(entry.weight.max(1));
-    }
-}
-
-/// Pick the queue index of the open job whose session is most
-/// underserved (smallest weighted virtual time); queue order breaks
-/// ties, so equal-service sessions are served FIFO.
-fn pick_fair(
-    open_jobs: impl Iterator<Item = (usize, u64)>,
-    sessions: &HashMap<u64, SessionEntry>,
-) -> Option<usize> {
-    let mut best: Option<(usize, u64)> = None;
-    for (idx, session) in open_jobs {
-        let vtime = sessions.get(&session).map(|e| e.vtime).unwrap_or(0);
-        if best.is_none_or(|(_, bv)| vtime < bv) {
-            best = Some((idx, vtime));
-        }
-    }
-    best.map(|(idx, _)| idx)
 }
 
 struct PoolShared {
     queue: Mutex<Queue>,
     work_cv: Condvar,
     counters: Counters,
-    /// Deficit-weighted session scheduling (default); `false` restores
-    /// the historic FIFO queue scan as a measured ablation.
-    fair: AtomicBool,
 }
 
 /// A persistent set of worker threads shared by every context holding a
@@ -488,9 +291,7 @@ impl WorkerPool {
                 respawned: AtomicU64::new(0),
                 per_worker_batches: (0..=pool_workers).map(|_| AtomicU64::new(0)).collect(),
                 per_worker_claims: (0..=pool_workers).map(|_| AtomicU64::new(0)).collect(),
-                sessions: Mutex::new(HashMap::new()),
             },
-            fair: AtomicBool::new(true),
         });
         let handles = (0..pool_workers)
             .map(|i| {
@@ -510,24 +311,6 @@ impl WorkerPool {
     /// Number of pool threads (excluding participating submitters).
     pub fn pool_workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Set the fair-share weight of `session` (clamped to >= 1; every
-    /// session defaults to 1). Under deficit-weighted scheduling a
-    /// weight-`w` session is entitled to `w` times the contended batch
-    /// share of a weight-1 session. Takes effect for jobs completing
-    /// after the call.
-    pub fn set_session_weight(&self, session: u64, weight: u32) {
-        let mut sessions = lock(&self.shared.counters.sessions);
-        session_entry(&mut sessions, session).weight = weight.max(1);
-    }
-
-    /// Toggle deficit-weighted session scheduling (on by default). With
-    /// `false`, idle workers serve the oldest open job regardless of
-    /// session — the historic FIFO behavior, kept as a measured ablation
-    /// for the `serve_throughput` benchmark.
-    pub fn set_fair_scheduling(&self, fair: bool) {
-        self.shared.fair.store(fair, Ordering::Relaxed);
     }
 
     /// Queue a one-shot side job (an overlapped final merge) for any
@@ -553,10 +336,6 @@ impl WorkerPool {
         );
         let c = &self.shared.counters;
         c.jobs.fetch_add(1, Ordering::Relaxed);
-        // Open the session's accounting before the job becomes visible:
-        // the fair pick reads the entry under the queue lock, and the
-        // open-job count must already protect the entry from eviction.
-        c.note_submit(job.session);
         {
             let mut q = lock(&self.shared.queue);
             q.jobs.push_back(job.clone());
@@ -592,12 +371,6 @@ impl WorkerPool {
             q.jobs.retain(|j| !Arc::ptr_eq(j, job));
         }
 
-        // Per-session fairness accounting (pool jobs only; single-batch
-        // stages run inline on their caller and are not counted).
-        let batches: u64 = outs.iter().map(|o| o.batches).sum();
-        let worker_batches = job.worker_batches.load(Ordering::Relaxed);
-        c.note_complete(job.session, batches, worker_batches, job.bytes);
-
         match error {
             Some(e) => Err(e),
             None => Ok(outs),
@@ -607,18 +380,6 @@ impl WorkerPool {
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
         let c = &self.shared.counters;
-        let mut sessions: Vec<SessionPoolStats> = lock(&c.sessions)
-            .iter()
-            .map(|(&session, e)| SessionPoolStats {
-                session,
-                jobs: e.jobs,
-                batches: e.batches,
-                worker_batches: e.worker_batches,
-                bytes: e.bytes,
-                weight: e.weight,
-            })
-            .collect();
-        sessions.sort_by_key(|s| s.session);
         PoolStats {
             workers: self.handles.len(),
             jobs: c.jobs.load(Ordering::Relaxed),
@@ -636,7 +397,6 @@ impl WorkerPool {
                 .iter()
                 .map(|a| a.load(Ordering::Relaxed))
                 .collect(),
-            sessions,
             panicked_batches: c.panicked.load(Ordering::Relaxed),
             respawned_workers: c.respawned.load(Ordering::Relaxed),
         }
@@ -708,17 +468,6 @@ impl std::fmt::Debug for PoolHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "PoolHandle({} workers)", self.pool.pool_workers())
     }
-}
-
-/// The process-global shared pool, created on first use and sized
-/// `default_workers() - 1` so that one saturated session uses the whole
-/// machine. Serving layers that want explicit sizing should create
-/// their own [`PoolHandle`] instead.
-pub fn global_pool() -> PoolHandle {
-    static GLOBAL: OnceLock<PoolHandle> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| PoolHandle::new(crate::config::default_workers().max(1) - 1))
-        .clone()
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -797,27 +546,7 @@ fn worker_main(shared: &PoolShared) {
                 if let Some(side) = q.side.pop_front() {
                     break Work::Side(side);
                 }
-                // Deficit-weighted round-robin (module docs): serve the
-                // open job of the most-underserved session; the FIFO
-                // ablation serves the oldest open job. The nested
-                // sessions lock is fine — lock order is always
-                // queue -> sessions, never the reverse.
-                let open = |j: &&Arc<Job>| j.open.load(Ordering::Relaxed);
-                let picked = if shared.fair.load(Ordering::Relaxed) {
-                    let sessions = lock(&shared.counters.sessions);
-                    pick_fair(
-                        q.jobs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, j)| open(j))
-                            .map(|(i, j)| (i, j.session)),
-                        &sessions,
-                    )
-                    .and_then(|i| q.jobs.get(i))
-                } else {
-                    q.jobs.iter().find(open)
-                };
-                if let Some(job) = picked {
+                if let Some(job) = q.jobs.iter().find(|j| j.open.load(Ordering::Relaxed)) {
                     break Work::Stage(job.clone());
                 }
                 c.parks.fetch_add(1, Ordering::Relaxed);
@@ -878,11 +607,6 @@ fn worker_main(shared: &PoolShared) {
             ),
         };
         c.bump_batches(ticket, &out);
-        if let Ok(o) = &out {
-            // Worker-served share, the capacity DRR divides (the
-            // submitting caller's own batches are excluded).
-            job.worker_batches.fetch_add(o.batches, Ordering::Relaxed);
-        }
         job.record(out);
         {
             let mut st = lock(&job.state);
@@ -896,56 +620,6 @@ fn worker_main(shared: &PoolShared) {
             std::panic::resume_unwind(payload);
         }
     }
-}
-
-/// Spawn-per-stage ablation (`Config::reuse_pool = false`): run the same
-/// dynamic-scheduling driver loop, but on scoped threads created for
-/// this one stage. Exists so `fig5_overheads` can measure what the
-/// persistent pool saves; per-worker pool counters are not updated on
-/// this path.
-pub(crate) fn run_stage_scoped(job: &Arc<Job>) -> Result<Vec<WorkerOut>> {
-    let participants = job.exec.participants;
-    let mut outs = Vec::with_capacity(participants);
-    let mut results: Vec<Option<Result<WorkerOut>>> = Vec::new();
-    results.resize_with(participants - 1, || None);
-    let mine = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(participants - 1);
-        for w in 1..participants {
-            let job = job.clone();
-            handles.push(s.spawn(move || {
-                let out = run_worker(&job.exec, &job.cursor, &job.failed, w);
-                if out.is_err() {
-                    // Match the pool path's semantics: one participant
-                    // failing stops the others from claiming batches.
-                    job.failed.store(true, Ordering::Relaxed);
-                }
-                out
-            }));
-        }
-        let mine = run_worker(&job.exec, &job.cursor, &job.failed, 0);
-        if mine.is_err() {
-            job.failed.store(true, Ordering::Relaxed);
-        }
-        for (slot, h) in results.iter_mut().zip(handles) {
-            // A panicked scoped worker surfaces typed, like the pool
-            // path (regression for the historic stringly
-            // `Error::Library("worker thread panicked")`).
-            *slot = Some(h.join().unwrap_or_else(|payload| {
-                Err(Error::TaskPanicked {
-                    stage: FaultPhase::Worker,
-                    payload: panic_message(payload.as_ref()),
-                })
-            }));
-        }
-        mine
-    });
-    outs.push(mine?);
-    // Every slot was filled in the join loop above; `flatten` just
-    // avoids asserting it.
-    for r in results.into_iter().flatten() {
-        outs.push(r?);
-    }
-    Ok(outs)
 }
 
 #[cfg(test)]
@@ -967,7 +641,6 @@ mod tests {
             "3 pool workers + caller slot"
         );
         assert_eq!(s.per_worker_claims.len(), 4);
-        assert!(s.sessions.is_empty());
         drop(pool); // must not hang
     }
 
@@ -989,152 +662,5 @@ mod tests {
         // The pool survives while any handle is alive.
         assert_eq!(b.stats().workers, 2);
         drop(b);
-    }
-
-    #[test]
-    fn global_pool_is_a_singleton() {
-        let a = global_pool();
-        let b = global_pool();
-        assert!(Arc::ptr_eq(&a.pool, &b.pool));
-    }
-
-    fn counters() -> Counters {
-        Counters {
-            jobs: AtomicU64::new(0),
-            side_jobs: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            unparks: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            respawned: AtomicU64::new(0),
-            per_worker_batches: Vec::new(),
-            per_worker_claims: Vec::new(),
-            sessions: Mutex::new(HashMap::new()),
-        }
-    }
-
-    #[test]
-    fn fair_pick_prefers_underserved_session_weighted() {
-        let c = counters();
-        // Session 1 has been served 30 batches at weight 1, session 2
-        // served 40 batches at weight 2: per unit weight, session 2 is
-        // the more underserved (40/2 = 20 < 30/1).
-        {
-            let mut sessions = lock(&c.sessions);
-            session_entry(&mut sessions, 2).weight = 2;
-        }
-        c.note_submit(1);
-        c.note_complete(1, 30, 0, 0);
-        c.note_submit(2);
-        c.note_complete(2, 40, 0, 0);
-        let sessions = lock(&c.sessions);
-        let open = [(0usize, 1u64), (1usize, 2u64)];
-        assert_eq!(pick_fair(open.iter().copied(), &sessions), Some(1));
-        // Queue order breaks exact ties (fresh sessions at vtime 0).
-        let fresh = [(0usize, 7u64), (1usize, 8u64)];
-        assert_eq!(pick_fair(fresh.iter().copied(), &sessions), Some(0));
-        // No open jobs: nothing to pick.
-        assert_eq!(pick_fair(std::iter::empty(), &sessions), None);
-    }
-
-    #[test]
-    fn deficit_cap_bounds_idle_credit() {
-        let c = counters();
-        // A hot session races ahead of the clock...
-        c.note_submit(1);
-        c.note_complete(1, 10 * DEFICIT_CAP_BATCHES, 0, 0);
-        // ...then a long-idle session submits: its vtime is clamped to
-        // at most DEFICIT_CAP_BATCHES weighted batches behind.
-        c.note_submit(2);
-        let sessions = lock(&c.sessions);
-        let hot = sessions[&1].vtime;
-        let cold = sessions[&2].vtime;
-        assert!(cold < hot, "cold session still holds priority");
-        assert_eq!(
-            hot - cold,
-            DEFICIT_CAP_BATCHES * VTIME_SCALE,
-            "idle credit is capped, not unbounded"
-        );
-    }
-
-    #[test]
-    fn eviction_skips_sessions_with_open_jobs() {
-        // Regression (ISSUE 4): evicting a session with jobs in flight
-        // splits its accounting across the overflow bucket and a fresh
-        // entry once the jobs complete.
-        let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-        for s in 0..MAX_TRACKED_SESSIONS as u64 {
-            let e = sessions.entry(s).or_default();
-            // Session 0 is the least-used *and* live; 1 is the least
-            // used idle session.
-            e.jobs = s.max(1);
-        }
-        sessions.get_mut(&0).unwrap().open_jobs = 1;
-        let live = sessions[&0].clone();
-        // A new tag at capacity evicts exactly one idle session.
-        session_entry(&mut sessions, 1_000);
-        assert_eq!(
-            sessions.get(&0),
-            Some(&live),
-            "live session must not be folded into overflow"
-        );
-        assert!(
-            !sessions.contains_key(&1),
-            "least-used idle session evicted"
-        );
-        assert_eq!(sessions[&OVERFLOW_SESSION].jobs, 1);
-        assert!(sessions.contains_key(&1_000));
-    }
-
-    #[test]
-    fn eviction_prefers_default_weight_sessions() {
-        // An operator-set weight marks an entry worth keeping: eviction
-        // folds a default-weight idle session first, even one with more
-        // completed jobs.
-        let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-        for s in 0..MAX_TRACKED_SESSIONS as u64 {
-            let e = sessions.entry(s).or_default();
-            e.jobs = s + 1;
-            e.weight = 3; // everyone premium...
-        }
-        sessions.get_mut(&7).unwrap().weight = 1; // ...except one
-        session_entry(&mut sessions, 5_000);
-        assert!(
-            !sessions.contains_key(&7),
-            "the default-weight session is folded first"
-        );
-        assert!(sessions.contains_key(&0), "premium sessions survive");
-    }
-
-    #[test]
-    fn eviction_declines_when_every_session_is_live() {
-        let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-        for s in 0..MAX_TRACKED_SESSIONS as u64 {
-            sessions.entry(s).or_default().open_jobs = 1;
-        }
-        session_entry(&mut sessions, 9_999);
-        // The map transiently exceeds the cap instead of corrupting a
-        // live session's totals.
-        assert_eq!(sessions.len(), MAX_TRACKED_SESSIONS + 1);
-        assert!(!sessions.contains_key(&OVERFLOW_SESSION));
-    }
-
-    #[test]
-    fn completed_jobs_advance_weighted_vtime_and_totals() {
-        let c = counters();
-        {
-            let mut sessions = lock(&c.sessions);
-            session_entry(&mut sessions, 5).weight = 4;
-        }
-        c.note_submit(5);
-        c.note_complete(5, 8, 6, 4096);
-        let sessions = lock(&c.sessions);
-        let e = &sessions[&5];
-        assert_eq!(
-            (e.jobs, e.batches, e.worker_batches, e.bytes),
-            (1, 8, 6, 4096)
-        );
-        assert_eq!(e.open_jobs, 0);
-        assert_eq!(e.vtime, 8 * VTIME_SCALE / 4);
     }
 }

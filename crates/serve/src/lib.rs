@@ -13,16 +13,11 @@
 //!
 //! * **A shared worker pool** ([`mozart_core::PoolHandle`]): one
 //!   machine-sized set of threads serves every session. Two concurrent
-//!   clients no longer spawn two pools and oversubscribe the host;
-//!   per-session usage is accounted in
-//!   [`PoolStats::sessions`](mozart_core::PoolStats).
-//! * **Deficit-weighted fair scheduling**: idle pool workers serve the
-//!   open job of the most-underserved session per unit weight instead
-//!   of scanning FIFO, so one hot tenant cannot monopolize the pool.
-//!   Sessions carry weights ([`Session::set_weight`], the
-//!   builder's default, or the wire protocol's `WEIGHT` line);
-//!   starvation is bounded by a deficit cap and by caller
-//!   participation (see `mozart_core::pool`).
+//!   clients no longer spawn two pools and oversubscribe the host.
+//!   Idle workers serve the oldest open stage (FIFO), and every
+//!   submitting thread runs its own stage, so no session starves even
+//!   while a hot tenant keeps the workers busy (see
+//!   `mozart_core::pool`).
 //! * **A plan cache** ([`mozart_core::PlanCache`]): evaluations
 //!   fingerprint their pending call graph; repeats replay memoized
 //!   stage skeletons instead of re-running split-type inference and

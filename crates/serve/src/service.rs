@@ -1,12 +1,12 @@
 //! The in-process pipeline service: named pipelines, session handles,
 //! per-request contexts wired to the shared worker pool and plan cache,
 //! bounded admission with an adaptive concurrency limit, cross-request
-//! coalescing, per-session fair-share weights and byte budgets, a
+//! coalescing, per-session byte budgets, a
 //! process-wide memory budget, per-pipeline circuit breakers, request
 //! deadlines, bounded retry of transient failures, and graceful drain.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -253,11 +253,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Plans the shared [`PlanCache`] retains.
     pub plan_cache_capacity: usize,
-    /// Default fair-share weight of new sessions (>= 1). Under the
-    /// pool's deficit-weighted round-robin, a weight-`w` session is
-    /// entitled to `w` times the contended batch share of a weight-1
-    /// session.
-    pub session_weight: u32,
     /// Default byte budget of new sessions (0 = unlimited): once the
     /// bytes split + merged on a session's behalf reach the budget, its
     /// requests are shed with [`ServeError::OverBudget`].
@@ -266,11 +261,6 @@ pub struct ServiceConfig {
     /// requests with matching [`Pipeline::coalesce_key`]s evaluate as
     /// one pipeline over concatenated inputs.
     pub coalescing: bool,
-    /// Deficit-weighted session scheduling on the shared pool (on by
-    /// default); `false` restores the FIFO queue scan as a measured
-    /// ablation. Applied to the pool at build time, so it also affects
-    /// other users of an adopted pool handle.
-    pub fair_scheduling: bool,
     /// Retries of a request whose evaluation failed *transiently* — a
     /// caught panic ([`mozart_core::Error::TaskPanicked`]) or an
     /// injected fault ([`mozart_core::Error::Injected`]) — under the
@@ -326,10 +316,8 @@ impl Default for ServiceConfig {
             max_inflight: workers,
             queue_depth: 4 * workers,
             plan_cache_capacity: 256,
-            session_weight: 1,
             session_byte_budget: 0,
             coalescing: true,
-            fair_scheduling: true,
             max_retries: 2,
             retry_backoff_ms: 5,
             tracing: false,
@@ -389,7 +377,7 @@ pub struct ServiceStats {
     pub waiting: usize,
     /// Shared plan cache counters.
     pub plan_cache: PlanCacheStats,
-    /// Shared worker pool counters (includes per-session fairness).
+    /// Shared worker pool counters.
     pub pool: PoolStats,
     /// Current adaptive concurrency limit (equals the configured
     /// `max_inflight` on a static-limit service).
@@ -800,7 +788,6 @@ impl ServiceInner {
 /// tentpole): every session shares one process-wide worker pool — no
 /// per-client thread oversubscription — and one plan cache, so repeated
 /// structurally identical pipelines skip the planner. Sessions carry
-/// fair-share weights (deficit-weighted round-robin on the pool) and
 /// optional byte budgets, and queued fingerprint-identical requests
 /// coalesce into one evaluation.
 ///
@@ -838,34 +825,22 @@ impl PipelineService {
         names
     }
 
-    /// Open a session: the unit of fairness accounting and the handle
-    /// requests go through. Sessions are cheap and `Send`; open one per
-    /// client connection or per client thread. The session starts with
-    /// the service's default weight and byte budget
-    /// ([`ServiceConfig::session_weight`] /
-    /// [`ServiceConfig::session_byte_budget`]).
+    /// Open a session: the handle requests go through. Sessions are
+    /// cheap and `Send`; open one per client connection or per client
+    /// thread. The session starts with the service's default byte
+    /// budget ([`ServiceConfig::session_byte_budget`]).
     ///
-    /// Session ids are allocated from a process-global counter: two
-    /// services sharing one pool (see [`ServiceBuilder::pool`]) must
-    /// not collide on the pool's per-session weights and accounting.
+    /// Session ids are allocated from a process-global counter, so
+    /// they stay unique across services in one process.
     pub fn session(&self) -> Session {
         static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
         let inner = &self.inner;
         inner.session_counter.fetch_add(1, Ordering::Relaxed);
         let id = SESSION_IDS.fetch_add(1, Ordering::Relaxed);
-        let weight = inner.config.session_weight.max(1);
-        if weight != 1 {
-            // Default-weight sessions are registered lazily (on their
-            // first pool job): eagerly creating an entry per connection
-            // would churn the pool's bounded session map with idle
-            // sessions and evict entries that carry real accounting.
-            inner.pool.set_session_weight(id, weight);
-        }
         Session {
             service: self.clone(),
             id,
             requests: AtomicU64::new(0),
-            weight: AtomicU32::new(weight),
             byte_budget: AtomicU64::new(inner.config.session_byte_budget),
             bytes_used: AtomicU64::new(0),
             default_deadline_ms: AtomicU64::new(0),
@@ -1299,8 +1274,7 @@ impl PipelineService {
         config.verify_plans = session.verify_plans.load(Ordering::Relaxed);
         let ctx = MozartContext::new(config);
         ctx.attach_pool(inner.pool.clone())
-            .attach_plan_cache(inner.cache.clone())
-            .set_session_tag(session.id);
+            .attach_plan_cache(inner.cache.clone());
         ctx
     }
 
@@ -1573,6 +1547,10 @@ impl PipelineService {
             }
             let result = handler.run(&ctx, req);
             let stats = ctx.stats();
+            // Tear the context down inside the attempt span: dropping
+            // its graph frees every intermediate, which on large
+            // requests is time the request spends.
+            drop(ctx);
             if let (Some(o), Some(t)) = (obs, at) {
                 o.span_end(
                     trace,
@@ -2214,13 +2192,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Default fair-share weight for new sessions (clamped to >= 1).
-    /// Individual sessions can override it with [`Session::set_weight`].
-    pub fn session_weight(mut self, weight: u32) -> Self {
-        self.config.session_weight = weight.max(1);
-        self
-    }
-
     /// Default byte budget for new sessions (0 = unlimited); see
     /// [`ServeError::OverBudget`]. Individual sessions can override it
     /// with [`Session::set_byte_budget`].
@@ -2251,13 +2222,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enable or disable deficit-weighted session scheduling on the
-    /// shared pool (on by default; `false` is the FIFO ablation).
-    pub fn fair_scheduling(mut self, on: bool) -> Self {
-        self.config.fair_scheduling = on;
-        self
-    }
-
     /// Enable end-to-end request tracing and latency histograms (off by
     /// default). A tracing service mints a [`TraceId`] per request,
     /// records spans for every wait and evaluation phase into lock-free
@@ -2271,8 +2235,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Use an existing pool (e.g. [`mozart_core::global_pool`]) instead
-    /// of spawning one sized `workers - 1`.
+    /// Use an existing pool (e.g. one shared with other services)
+    /// instead of spawning one sized `workers - 1`.
     pub fn pool(mut self, pool: PoolHandle) -> Self {
         self.pool = Some(pool);
         self
@@ -2320,7 +2284,6 @@ impl ServiceBuilder {
         let pool = self
             .pool
             .unwrap_or_else(|| PoolHandle::new(config.workers.max(1) - 1));
-        pool.set_fair_scheduling(config.fair_scheduling);
         let mut session_config = self
             .session_config
             .unwrap_or_else(|| Config::with_workers(config.workers));
@@ -2397,16 +2360,13 @@ impl ServiceBuilder {
     }
 }
 
-/// One client's handle onto a [`PipelineService`]. The session id tags
-/// every request context, so the shared pool's
-/// [`PoolStats::sessions`] fairness accounting aggregates per client
-/// rather than per short-lived request context; the session also
-/// carries its fair-share weight and byte budget.
+/// One client's handle onto a [`PipelineService`]: it carries the
+/// client's byte budget, default deadline and evaluation modes across
+/// the short-lived request contexts it opens.
 pub struct Session {
     service: PipelineService,
     id: u64,
     requests: AtomicU64,
-    weight: AtomicU32,
     /// Byte budget (0 = unlimited); see [`ServeError::OverBudget`].
     byte_budget: AtomicU64,
     /// Bytes split + merged on this session's behalf, accumulated from
@@ -2427,7 +2387,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// This session's id (the pool's fairness key).
+    /// This session's id.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -2435,20 +2395,6 @@ impl Session {
     /// Requests this session has submitted.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
-    }
-
-    /// This session's fair-share weight.
-    pub fn weight(&self) -> u32 {
-        self.weight.load(Ordering::Relaxed)
-    }
-
-    /// Set this session's fair-share weight (clamped to >= 1): its
-    /// entitled share of the contended pool, relative to other sessions'
-    /// weights, under deficit-weighted round-robin.
-    pub fn set_weight(&self, weight: u32) {
-        let weight = weight.max(1);
-        self.weight.store(weight, Ordering::Relaxed);
-        self.service.inner.pool.set_session_weight(self.id, weight);
     }
 
     /// This session's byte budget (0 = unlimited).

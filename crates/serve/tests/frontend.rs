@@ -80,6 +80,9 @@ fn malformed_corpus_gets_typed_errors_and_never_hangs() {
         "ping extra_without_equals",
         "ping =novalue",
         "WEIGHT over9000!",
+        // An old client's weight line (`WEIGHT` is no verb): a typed
+        // error, and the connection keeps serving.
+        "WEIGHT 2",
         "STATS STATS",
     ] {
         let reply = roundtrip(&mut w, &mut r, garbage);

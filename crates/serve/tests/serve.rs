@@ -2,7 +2,7 @@
 //! shared pool, plan-cache behavior across requests, and admission
 //! backpressure.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -65,9 +65,8 @@ fn concurrent_sessions_compute_correct_results() {
     // 21 structurally identical requests: one cold miss, 20 replays.
     assert_eq!(stats.plan_cache.hits, 20);
     assert!(stats.plan_cache.hit_rate() > 0.9);
-    // The shared pool ran jobs for several distinct sessions.
+    // The requests' stages ran on the shared pool.
     assert!(stats.pool.jobs > 0, "pool stats: {:?}", stats.pool);
-    assert!(stats.pool.sessions.len() >= 2);
 }
 
 #[test]
@@ -423,14 +422,10 @@ fn byte_budgets_shed_load_with_typed_error() {
 fn builder_defaults_apply_to_new_sessions() {
     let service = PipelineService::builder()
         .workers(1)
-        .session_weight(3)
         .session_byte_budget(1 << 20)
         .build();
     let session = service.session();
-    assert_eq!(session.weight(), 3);
     assert_eq!(session.byte_budget(), 1 << 20);
-    session.set_weight(5);
-    assert_eq!(session.weight(), 5);
 }
 
 /// A pipeline that fails its first `failures` invocations, for retry
@@ -748,11 +743,13 @@ fn drain_rejects_new_work_and_waits_for_inflight() {
     assert_eq!(stats.failed, 0);
 }
 
-/// Multi-session fairness: 3 sessions with skewed demand (two hot
-/// sessions driving two threads each, one cold single-threaded session
-/// at weight 2) over one shared pool. Under deficit-weighted
-/// round-robin no session starves, and the per-session accounting the
-/// scheduler ranks by is visible in the pool stats.
+/// Multi-session starvation freedom: 3 sessions weighted by demand (two
+/// hot sessions driving two closed-loop threads each, one cold
+/// single-threaded session) over one shared FIFO pool. The hot threads
+/// keep calling until the cold session finishes its fixed rounds; the
+/// cold session's share of the requests completed in that window is
+/// counted on the client side. Every request has the same size, so
+/// requests are proportional to batches.
 #[test]
 fn weighted_sessions_share_the_pool_without_starvation() {
     let mut cfg = Config::with_workers(2);
@@ -765,55 +762,45 @@ fn weighted_sessions_share_the_pool_without_starvation() {
         .coalescing(false) // measure scheduling, not request merging
         .builtin_pipelines()
         .build();
-    let hot1 = Arc::new(service.session());
-    let hot2 = Arc::new(service.session());
-    let cold = Arc::new(service.session());
-    cold.set_weight(2);
+    let hot1 = service.session();
+    let hot2 = service.session();
+    let cold = service.session();
 
-    let rounds = 6;
+    let rounds = 6u64;
+    let cold_done = AtomicBool::new(false);
+    let hot_in_window = AtomicU64::new(0);
+    let start = Barrier::new(5);
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (session, threads, seed) in [(&hot1, 2, 1u64), (&hot2, 2, 2), (&cold, 1, 3)] {
-            for _ in 0..threads {
-                let session = Arc::clone(session);
+        for (session, seed) in [(&hot1, 1u64), (&hot1, 1), (&hot2, 2), (&hot2, 2)] {
+            let (cold_done, hot_in_window, start) = (&cold_done, &hot_in_window, &start);
+            s.spawn(move || {
                 let req = Request::new().with("n", 4096).with("seed", seed);
-                handles.push(s.spawn(move || {
-                    for _ in 0..rounds {
-                        session.call("black_scholes", &req).unwrap();
+                start.wait();
+                while !cold_done.load(Ordering::Acquire) {
+                    session.call("black_scholes", &req).unwrap();
+                    if !cold_done.load(Ordering::Acquire) {
+                        hot_in_window.fetch_add(1, Ordering::Relaxed);
                     }
-                }));
-            }
+                }
+            });
         }
-        for h in handles {
-            h.join().unwrap();
+        let req = Request::new().with("n", 4096).with("seed", 3);
+        start.wait();
+        for _ in 0..rounds {
+            cold.call("black_scholes", &req).unwrap();
         }
+        cold_done.store(true, Ordering::Release);
     });
 
-    let pool = service.stats().pool;
-    let share = |id: u64| {
-        pool.sessions
-            .iter()
-            .find(|e| e.session == id)
-            .cloned()
-            .unwrap_or_default()
-    };
-    let (e1, e2, ec) = (share(hot1.id()), share(hot2.id()), share(cold.id()));
-    // Weights are recorded where the scheduler reads them.
-    assert_eq!(ec.weight, 2, "{pool:?}");
-    assert_eq!(e1.weight, 1);
-    // No session starves: everyone's jobs ran batches on the pool.
-    for e in [&e1, &e2, &ec] {
-        assert!(e.jobs > 0 && e.batches > 0, "starved session: {pool:?}");
-        assert!(e.bytes > 0, "byte accounting missing: {pool:?}");
-    }
-    // Convergence within (generous, CI-safe) tolerance: the cold
-    // session is 1 of 5 closed-loop threads but holds weight 2 of 4 —
-    // deficit-weighted scheduling must keep its share of served batches
-    // from collapsing below half of an equal per-*thread* split.
-    let total = (e1.batches + e2.batches + ec.batches) as f64;
-    let cold_share = ec.batches as f64 / total;
+    // Caller participation: the cold session runs its own jobs, so it
+    // progresses even when every pool worker serves a hot session. Its
+    // share must not collapse below half of an equal per-thread split
+    // (1 of 5 closed-loop threads).
+    let hot = hot_in_window.load(Ordering::Relaxed);
+    let cold_share = rounds as f64 / (rounds + hot) as f64;
     assert!(
         cold_share > 0.10,
-        "cold session share {cold_share:.3} collapsed: {pool:?}"
+        "cold session share {cold_share:.3} collapsed: {rounds} cold vs {hot} hot requests"
     );
+    assert_eq!(service.stats().failed, 0);
 }

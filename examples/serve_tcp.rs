@@ -52,8 +52,6 @@
 //! ```text
 //! > LIST
 //! OK black_scholes crime_index haversine nashville
-//! > WEIGHT 2
-//! OK weight=2
 //! > BUDGET 500000000
 //! OK budget=500000000
 //! > black_scholes n=4096
@@ -64,10 +62,8 @@
 //! OK bye
 //! ```
 //!
-//! `WEIGHT` sets the connection session's fair-share weight (deficit-
-//! weighted scheduling on the shared pool); `BUDGET` caps the bytes the
-//! session may split/merge before requests are shed with
-//! `ERR over_budget` (0 = unlimited). `STATS` reports the service
+//! `BUDGET` caps the bytes the session may split/merge before requests
+//! are shed with `ERR over_budget` (0 = unlimited). `STATS` reports the service
 //! counters in the stable order documented in
 //! [`mozart_serve::protocol`], including the overload fields
 //! (`admission_limit`, `queue_shed`, `over_memory`, `breaker_shed`,
@@ -279,7 +275,9 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
     // error is the point of the exchange.
     let script = [
         ("LIST", "OK"),
-        ("WEIGHT 2", "OK"),
+        // `WEIGHT` is not a verb: an old client's weight line is a
+        // typed bad request, and the connection keeps serving.
+        ("WEIGHT 2", "ERR bad_request"),
         ("BUDGET 500000000", "OK"),
         ("black_scholes n=2048", "OK"),
         ("black_scholes n=2048", "OK"), // identical: plan-cache replay
@@ -289,7 +287,6 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         ("no_such_pipeline", "ERR"),
         ("black_scholes n=abc", "ERR"),
         ("black_scholes n=2048 n=4096", "ERR"), // duplicate key rejected
-        ("WEIGHT 0", "ERR"),
         ("BUDGET lots", "ERR"),
         // An already-expired deadline sheds with the typed error before
         // any work starts.
