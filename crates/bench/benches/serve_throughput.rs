@@ -45,15 +45,14 @@
 //!   and the tracing-on run's histogram-derived p50/p99/p999 — end to
 //!   end, admission wait, and per executor phase — land in the JSON
 //!   snapshot.
-//! * **Overload**: the closed-loop peak goodput of the adaptive
-//!   (AIMD-limited) service is measured, then a paced open-loop drive
-//!   offers 2x that rate through `try_call`. Excess load must shed
-//!   with a *typed* error (`saturated`/`queue_shed`/`over_memory` —
-//!   anything else aborts the bench), every admitted response must be
-//!   bit-identical to the reference, and on runs of ≥ 40 *offered*
-//!   requests the admitted goodput must stay ≥ 70% of the closed-loop
-//!   peak. The statically pinned `max_inflight` ablation runs under
-//!   the same offered load for comparison.
+//! * **Overload**: the closed-loop peak goodput of the service (fixed
+//!   admission limit `max_inflight = workers`) is measured, then a
+//!   paced open-loop drive offers 2x that rate through `try_call`.
+//!   Excess load must shed with a *typed* error
+//!   (`saturated`/`over_memory` — anything else aborts the bench),
+//!   every admitted response must be bit-identical to the reference,
+//!   and on runs of ≥ 40 *offered* requests the admitted goodput must
+//!   stay ≥ 70% of the closed-loop peak.
 //! * **Breaker**: a deterministic fault budget opens the black_scholes
 //!   circuit breaker; the open-state fast-fail latency must be ≥ 5x
 //!   under the healthy evaluation latency, and once the faults clear
@@ -478,16 +477,11 @@ fn tracing_overhead_run(
 /// Result of one paced open-loop overload run (offered load 2x the
 /// measured closed-loop peak).
 struct Overload {
-    name: &'static str,
     offered: u64,
     admitted: u64,
     shed: u64,
     wall: Duration,
     checksums_ok: bool,
-    /// The admission limit at the end of the run (AIMD-moved for the
-    /// adaptive service, pinned for the static ablation).
-    admission_limit: usize,
-    queue_shed: u64,
 }
 
 impl Overload {
@@ -503,7 +497,6 @@ impl Overload {
 /// panics the bench — and every admitted body is checked against
 /// `want`.
 fn overload_run(
-    name: &'static str,
     service: &PipelineService,
     offered_rps: f64,
     total: usize,
@@ -538,11 +531,7 @@ fn overload_run(
                                 ok.store(false, Ordering::Relaxed);
                             }
                         }
-                        Err(
-                            ServeError::Saturated { .. }
-                            | ServeError::QueueShed { .. }
-                            | ServeError::OverMemory { .. },
-                        ) => {
+                        Err(ServeError::Saturated { .. } | ServeError::OverMemory { .. }) => {
                             shed.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(e) => panic!("overload shed must be typed, got {e}"),
@@ -551,16 +540,12 @@ fn overload_run(
             });
         }
     });
-    let (limit, _) = service.admission_limit();
     Overload {
-        name,
         offered: (per_thread * threads) as u64,
         admitted: admitted.load(Ordering::Relaxed),
         shed: shed.load(Ordering::Relaxed),
         wall: t0.elapsed(),
         checksums_ok: ok.load(Ordering::Relaxed),
-        admission_limit: limit,
-        queue_shed: service.stats().queue_shed,
     }
 }
 
@@ -957,21 +942,21 @@ fn main() {
     }
 
     // ---- Overload: paced open-loop drive at 2x the closed-loop peak ----
-    // Peak goodput first: the adaptive service (no pinned max_inflight,
-    // AIMD + CoDel on) under the same closed-loop drive as mode A.
-    let adaptive_service = PipelineService::builder()
+    // Peak goodput first, under the same closed-loop drive as mode A.
+    let overload_service = PipelineService::builder()
         .workers(WORKERS)
         .queue_depth(2 * clients)
         .session_config(session_config.clone())
         .coalescing(false)
         .builtin_pipelines()
         .build();
-    let adaptive_sessions: Vec<_> = (0..clients).map(|_| adaptive_service.session()).collect();
-    adaptive_sessions[0]
+    let admission_limit = overload_service.config().max_inflight;
+    let overload_sessions: Vec<_> = (0..clients).map(|_| overload_service.session()).collect();
+    overload_sessions[0]
         .call("black_scholes", &req)
         .expect("overload warmup");
-    let peak = drive("adaptive-peak", clients, requests, |c, _| {
-        adaptive_sessions[c]
+    let peak = drive("overload-peak", clients, requests, |c, _| {
+        overload_sessions[c]
             .call("black_scholes", &req)
             .expect("peak request");
     });
@@ -980,32 +965,8 @@ fn main() {
     let offered_rps = 2.0 * peak_rps;
     let offered_total = 2 * clients * requests;
     let overload_threads = 2 * clients;
-    let over_adaptive = overload_run(
-        "adaptive",
-        &adaptive_service,
-        offered_rps,
-        offered_total,
-        overload_threads,
-        n,
-        &want,
-    );
-    // The static ablation: the pre-PR pinned limit under the identical
-    // offered load.
-    let static_service = PipelineService::builder()
-        .workers(WORKERS)
-        .max_inflight(WORKERS)
-        .queue_depth(2 * clients)
-        .session_config(session_config.clone())
-        .coalescing(false)
-        .builtin_pipelines()
-        .build();
-    static_service
-        .session()
-        .call("black_scholes", &req)
-        .expect("static overload warmup");
-    let over_static = overload_run(
-        "static",
-        &static_service,
+    let over = overload_run(
+        &overload_service,
         offered_rps,
         offered_total,
         overload_threads,
@@ -1015,50 +976,41 @@ fn main() {
     // The goodput bar keys off the *offered* count (2x the closed-loop
     // total), so even CI smoke runs offer enough load to gate on.
     let overload_asserted = offered_total >= 40;
-    let goodput_frac = over_adaptive.goodput() / peak_rps.max(1e-9);
+    let goodput_frac = over.goodput() / peak_rps.max(1e-9);
     let goodput_ok = goodput_frac >= 0.70;
     println!(
         "\noverload (offered {:.1} req/s = 2x peak {:.1} req/s, {} paced threads):",
         offered_rps, peak_rps, overload_threads
     );
-    for o in [&over_adaptive, &over_static] {
-        println!(
-            "  {:>8}: offered {} admitted {} shed {} goodput {:.1} req/s \
-             ({:.1}% of peak) limit={} queue_shed={} checksums_ok={}",
-            o.name,
-            o.offered,
-            o.admitted,
-            o.shed,
-            o.goodput(),
-            100.0 * o.goodput() / peak_rps.max(1e-9),
-            o.admission_limit,
-            o.queue_shed,
-            o.checksums_ok
-        );
-    }
+    println!(
+        "  offered {} admitted {} shed {} goodput {:.1} req/s ({:.1}% of peak) \
+         limit={admission_limit} checksums_ok={}",
+        over.offered,
+        over.admitted,
+        over.shed,
+        over.goodput(),
+        100.0 * goodput_frac,
+        over.checksums_ok
+    );
     println!(
         "  acceptance: goodput {:.1}% of peak >= 70%: {goodput_ok} (asserted: {overload_asserted})",
         100.0 * goodput_frac
     );
-    for o in [&over_adaptive, &over_static] {
-        assert!(
-            o.checksums_ok,
-            "{}: admitted responses must be bit-identical to the reference",
-            o.name
-        );
-        assert!(o.admitted > 0, "{}: overload starved every request", o.name);
-        assert_eq!(
-            o.admitted + o.shed,
-            o.offered,
-            "{}: every offered request must be admitted or typed-shed",
-            o.name
-        );
-    }
+    assert!(
+        over.checksums_ok,
+        "admitted responses must be bit-identical to the reference"
+    );
+    assert!(over.admitted > 0, "overload starved every request");
+    assert_eq!(
+        over.admitted + over.shed,
+        over.offered,
+        "every offered request must be admitted or typed-shed"
+    );
     if overload_asserted {
         assert!(
             goodput_ok,
             "overload goodput {:.1} req/s fell below 70% of the {peak_rps:.1} req/s peak",
-            over_adaptive.goodput()
+            over.goodput()
         );
     }
 
@@ -1166,28 +1118,17 @@ fn main() {
     json.push_str("  },\n");
     json.push_str(&format!(
         "  \"overload\": {{ \"peak_rps\": {peak_rps:.2}, \"offered_rps\": {offered_rps:.2}, \
-         \"paced_threads\": {overload_threads},\n"
-    ));
-    for (o, comma) in [(&over_adaptive, ","), (&over_static, ",")] {
-        json.push_str(&format!(
-            "    \"{}\": {{ \"offered\": {}, \"admitted\": {}, \"shed\": {}, \
-             \"wall_seconds\": {:.6}, \"goodput_rps\": {:.2}, \"admission_limit\": {}, \
-             \"queue_shed\": {}, \"checksums_ok\": {} }}{}\n",
-            o.name,
-            o.offered,
-            o.admitted,
-            o.shed,
-            o.wall.as_secs_f64(),
-            o.goodput(),
-            o.admission_limit,
-            o.queue_shed,
-            o.checksums_ok,
-            comma
-        ));
-    }
-    json.push_str(&format!(
-        "    \"goodput_fraction_of_peak\": {goodput_frac:.4}, \
-         \"ratio_asserted\": {overload_asserted} }},\n"
+         \"paced_threads\": {overload_threads}, \"offered\": {}, \"admitted\": {}, \
+         \"shed\": {}, \"wall_seconds\": {:.6}, \"goodput_rps\": {:.2}, \
+         \"admission_limit\": {admission_limit}, \"checksums_ok\": {}, \
+         \"goodput_fraction_of_peak\": {goodput_frac:.4}, \
+         \"ratio_asserted\": {overload_asserted} }},\n",
+        over.offered,
+        over.admitted,
+        over.shed,
+        over.wall.as_secs_f64(),
+        over.goodput(),
+        over.checksums_ok
     ));
     json.push_str(&format!(
         "  \"breaker\": {{ \"fastfail_p50_us\": {:.2}, \"eval_p50_us\": {:.2}, \

@@ -119,7 +119,7 @@ pub(crate) struct ExecStage {
     total_elements: u64,
     /// Per-element footprint summed over the split inputs (split info
     /// API); `total_elements · sum_elem_bytes` is the stage's nominal
-    /// split cost in bytes, the signal behind per-session byte budgets.
+    /// split cost in bytes (see `PhaseStats::bytes_split`).
     sum_elem_bytes: u64,
     batch: u64,
     /// Worker count for this stage (callers + pool workers), already
@@ -276,8 +276,8 @@ impl DeferredMerge {
 
 /// Nominal size in bytes of a materialized merge output, via the split
 /// info API (`total_elements · elem_size_bytes`); zero when the info
-/// call declines, since byte budgets are a load-shedding signal, not an
-/// exact meter.
+/// call declines, since the byte counters are a load-shedding signal,
+/// not an exact meter.
 fn merged_bytes(instance: &SplitInstance, merged: &DataValue) -> u64 {
     if instance.is_unknown() {
         // `unknown` instances carry no params and only delegate their
@@ -469,7 +469,7 @@ pub(crate) fn execute_stage(
             // Per-element footprint via the split info API on the first
             // piece (the info contract covers pieces; elem size is
             // range-independent). Zero when the info call declines —
-            // byte-budget degradation, not a correctness issue.
+            // byte-counter degradation, not a correctness issue.
             let elem_size = mo
                 .instance
                 .splitter

@@ -47,8 +47,8 @@ pub struct PhaseStats {
     pub overlapped_merges: u64,
     /// Nominal bytes split across all stages: per stage,
     /// `total_elements · Σ elem_size_bytes` over the split inputs as
-    /// reported by the split info API. The cost signal serving layers
-    /// meter per-session byte budgets against.
+    /// reported by the split info API. The cost signal behind the
+    /// serving layer's per-pipeline memory-footprint estimate.
     pub bytes_split: u64,
     /// Nominal bytes materialized by merge outputs (placement,
     /// collected, and overlapped final merges), via the split info API

@@ -31,15 +31,12 @@
 //!   analogue of model-server micro-batching.
 //!   [`ServiceStats::coalesced_requests`] counts the piggybacked
 //!   requests.
-//! * **Bounded admission**: at most `max_inflight` evaluations run, at
-//!   most `queue_depth` callers wait (FIFO — released slots go to the
-//!   oldest waiter; `try_call` never barges past the queue), and
-//!   everyone else gets the typed [`ServeError::Saturated`]
-//!   backpressure error immediately.
-//! * **Session byte budgets**: the bytes split and merged per session
-//!   (from the split info API's element sizes) are metered; sessions
-//!   over their budget are shed with [`ServeError::OverBudget`] —
-//!   load shedding by cost, not just by count.
+//! * **Bounded admission**: at most `max_inflight` evaluations run
+//!   (default `workers`), at most `queue_depth` callers wait (FIFO —
+//!   released slots go to the oldest waiter; `try_call` never barges
+//!   past the queue), and everyone else gets the typed
+//!   [`ServeError::Saturated`] backpressure error immediately. Both
+//!   bounds are fixed at build time.
 //! * **Fault tolerance**: a panicking split/evaluate/merge fails only
 //!   its request with the typed
 //!   [`mozart_core::Error::TaskPanicked`] while the shared pool
@@ -51,13 +48,11 @@
 //!   cooperatively mid-evaluation; and [`PipelineService::drain`]
 //!   closes admission gracefully. Faults are injected deterministically
 //!   for testing via [`mozart_core::FaultPlan`].
-//! * **Overload resilience**: the in-flight limit adapts by AIMD on
-//!   measured end-to-end latency ([`adaptive`]) with CoDel-style
-//!   sojourn shedding of standing queues ([`ServeError::QueueShed`]);
-//!   a process-wide memory ceiling (`mozart_core::membudget`) sheds
-//!   requests whose estimated footprint cannot fit
-//!   ([`ServeError::OverMemory`]) and stops coalesced batches from
-//!   growing under pressure; and per-pipeline circuit breakers
+//! * **Overload resilience**: a process-wide memory ceiling
+//!   (`mozart_core::membudget`, the one memory control) sheds requests
+//!   whose estimated footprint cannot fit ([`ServeError::OverMemory`])
+//!   and stops coalesced batches from growing under pressure; and
+//!   per-pipeline circuit breakers
 //!   ([`breaker`]) fast-fail pipelines stuck in consecutive transient
 //!   failures ([`ServeError::CircuitOpen`]) until a half-open probe
 //!   succeeds.
@@ -100,7 +95,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod adaptive;
 mod admission;
 pub mod breaker;
 pub mod error;
@@ -110,7 +104,6 @@ pub mod protocol;
 mod service;
 pub mod tcpfront;
 
-pub use adaptive::{AimdConfig, AimdController};
 pub use breaker::{BreakerConfig, BreakerState};
 pub use error::{Result, ServeError};
 pub use metrics::{Histogram, HistogramSnapshot};

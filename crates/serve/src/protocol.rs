@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! <pipeline> [key=value]...      run a pipeline
-//! BUDGET <bytes>                 set this session's byte budget (0 = unlimited)
 //! DEADLINE <ms>                  set this session's default request deadline (0 = none)
 //! PIPELINE <0|1>                 set this session's stage evaluation mode (1 = fused
 //!                                pipelines, the default; 0 = per-call stages with
@@ -29,13 +28,18 @@
 //!
 //! **`STATS`** replies `OK` followed by `key=value` pairs in this
 //! fixed order (new fields are appended, existing ones never move or
-//! change meaning): `started completed rejected failed over_budget
-//! deadline_shed retries slow draining coalesced_requests
-//! coalesce_waiting sessions inflight plan_hits plan_misses
-//! plan_entries pool_workers pool_jobs pool_panicked_batches
-//! pool_respawned_workers admission_limit queue_shed over_memory
-//! breaker_shed breaker_open memory_live_bytes memory_ceiling_bytes
-//! split_form_handoffs`.
+//! change meaning, except where a field is retired with its
+//! mechanism): `started completed rejected failed deadline_shed
+//! retries slow draining coalesced_requests coalesce_waiting sessions
+//! inflight plan_hits plan_misses plan_entries pool_workers pool_jobs
+//! pool_panicked_batches pool_respawned_workers admission_limit
+//! over_memory breaker_shed breaker_open memory_live_bytes
+//! memory_ceiling_bytes split_form_handoffs`. `admission_limit` is the
+//! configured `max_inflight`. Retired fields: `over_budget` (after
+//! `failed`) and `queue_shed` (after `admission_limit`) went with
+//! session byte budgets and CoDel queue shedding; the `BUDGET` verb
+//! went with them, so `BUDGET <n>` now parses as a call line with a
+//! malformed parameter (`ERR bad_request`), like the retired `WEIGHT`.
 //! The request-outcome counters (`started`
 //! through `coalesced_requests`) come from **one** locked snapshot:
 //! a request is either entirely counted or entirely absent, so
@@ -76,8 +80,6 @@ use crate::service::Request;
 pub enum ClientLine {
     /// Run the named pipeline with the given parameters.
     Call(String, Request),
-    /// Set the connection session's byte budget (0 = unlimited).
-    Budget(u64),
     /// Set the connection session's default request deadline in
     /// milliseconds (0 clears it).
     Deadline(u64),
@@ -106,7 +108,7 @@ pub enum ClientLine {
     Quit,
 }
 
-/// Parse the single operand of a control line (`BUDGET`, `DEADLINE`, ...).
+/// Parse the single operand of a control line (`DEADLINE`, `TRACE`, ...).
 fn parse_operand<T: std::str::FromStr>(
     head: &str,
     words: &mut std::str::SplitWhitespace<'_>,
@@ -143,7 +145,6 @@ pub fn parse_line(line: &str) -> Result<ClientLine, ServeError> {
         "METRICS" => bare(ClientLine::Metrics, &mut words),
         "TRACE" => Ok(ClientLine::Trace(parse_operand(head, &mut words)?)),
         "QUIT" => bare(ClientLine::Quit, &mut words),
-        "BUDGET" => Ok(ClientLine::Budget(parse_operand(head, &mut words)?)),
         "DEADLINE" => Ok(ClientLine::Deadline(parse_operand(head, &mut words)?)),
         "PIPELINE" => match parse_operand::<u64>(head, &mut words)? {
             0 => Ok(ClientLine::Pipeline(false)),
@@ -245,15 +246,16 @@ mod tests {
 
     #[test]
     fn parses_weight_and_budget_lines() {
-        assert_eq!(
-            parse_line("BUDGET 1000000").unwrap(),
-            ClientLine::Budget(1_000_000)
-        );
-        assert_eq!(parse_line("BUDGET 0").unwrap(), ClientLine::Budget(0));
-        // Malformed control lines are typed bad requests. `WEIGHT` is no
-        // verb: an old client's `WEIGHT 2` is a call line with a
-        // malformed parameter.
-        for bad in ["WEIGHT 2", "BUDGET", "BUDGET x", "BUDGET 1 2"] {
+        // `WEIGHT` and `BUDGET` are retired verbs: an old client's
+        // `WEIGHT 2` or `BUDGET 1000000` is a call line with a
+        // malformed parameter, a typed bad request.
+        for bad in [
+            "WEIGHT 2",
+            "BUDGET 1000000",
+            "BUDGET 0",
+            "BUDGET x",
+            "BUDGET 1 2",
+        ] {
             assert!(
                 matches!(parse_line(bad), Err(ServeError::BadRequest(_))),
                 "{bad:?} must be rejected"

@@ -1,9 +1,8 @@
 //! The in-process pipeline service: named pipelines, session handles,
 //! per-request contexts wired to the shared worker pool and plan cache,
-//! bounded admission with an adaptive concurrency limit, cross-request
-//! coalescing, per-session byte budgets, a
-//! process-wide memory budget, per-pipeline circuit breakers, request
-//! deadlines, bounded retry of transient failures, and graceful drain.
+//! bounded FIFO admission, cross-request coalescing, a process-wide
+//! memory ceiling, per-pipeline circuit breakers, request deadlines,
+//! bounded retry of transient failures, and graceful drain.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,8 +20,7 @@ use mozart_core::{
     PoolHandle, PoolStats, Splitter,
 };
 
-use crate::adaptive::{AimdConfig, AimdController};
-use crate::admission::{Admission, CodelCfg};
+use crate::admission::Admission;
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerMap, BreakerPass, BreakerState};
 use crate::error::{Result, ServeError};
 use crate::metrics::{
@@ -253,10 +251,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Plans the shared [`PlanCache`] retains.
     pub plan_cache_capacity: usize,
-    /// Default byte budget of new sessions (0 = unlimited): once the
-    /// bytes split + merged on a session's behalf reach the budget, its
-    /// requests are shed with [`ServeError::OverBudget`].
-    pub session_byte_budget: u64,
     /// Cross-request batch coalescing (on by default): queued blocking
     /// requests with matching [`Pipeline::coalesce_key`]s evaluate as
     /// one pipeline over concatenated inputs.
@@ -275,25 +269,6 @@ pub struct ServiceConfig {
     /// default; see [`ServiceBuilder::tracing`]). When off, the request
     /// path records nothing — one `Option` branch per would-be span.
     pub tracing: bool,
-    /// Adaptive AIMD concurrency limiting (see [`crate::adaptive`]):
-    /// the in-flight limit starts at `max_inflight` and follows
-    /// measured end-to-end latency against a target seeded from the
-    /// live latency histograms (or [`ServiceConfig::aimd_target_ms`]).
-    /// On unless the operator pinned `max_inflight` explicitly — a
-    /// pinned limit is the static ablation. CoDel queue-sojourn
-    /// shedding ([`ServeError::QueueShed`]) is active exactly when the
-    /// adaptive limiter is.
-    pub adaptive_limit: bool,
-    /// Explicit AIMD latency target in milliseconds; 0 (the default)
-    /// seeds the target from the measured latency distribution instead
-    /// (median of a warmup window × a slowdown multiple).
-    pub aimd_target_ms: u64,
-    /// CoDel sojourn target in milliseconds: the acceptable standing
-    /// queue wait before head-of-line shedding arms.
-    pub codel_target_ms: u64,
-    /// CoDel interval in milliseconds: how long the head sojourn must
-    /// stay above target before the first shed.
-    pub codel_interval_ms: u64,
     /// Process-wide memory ceiling in bytes (0 = unlimited), installed
     /// into `mozart_core::membudget` at build time. Requests whose
     /// estimated footprint does not fit are shed with
@@ -316,15 +291,10 @@ impl Default for ServiceConfig {
             max_inflight: workers,
             queue_depth: 4 * workers,
             plan_cache_capacity: 256,
-            session_byte_budget: 0,
             coalescing: true,
             max_retries: 2,
             retry_backoff_ms: 5,
             tracing: false,
-            adaptive_limit: true,
-            aimd_target_ms: 0,
-            codel_target_ms: 50,
-            codel_interval_ms: 100,
             memory_ceiling_bytes: 0,
             breaker_threshold: 8,
             breaker_cooldown_ms: 200,
@@ -344,8 +314,6 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Requests that failed inside the pipeline.
     pub failed: u64,
-    /// Requests shed because their session exhausted its byte budget.
-    pub over_budget: u64,
     /// Requests shed because their deadline passed — while queued for
     /// admission, while parked in a coalesced batch, or mid-evaluation
     /// (cooperative cancellation at batch-claim boundaries).
@@ -379,12 +347,9 @@ pub struct ServiceStats {
     pub plan_cache: PlanCacheStats,
     /// Shared worker pool counters.
     pub pool: PoolStats,
-    /// Current adaptive concurrency limit (equals the configured
-    /// `max_inflight` on a static-limit service).
+    /// Concurrent evaluations admitted (the configured
+    /// [`ServiceConfig::max_inflight`]).
     pub admission_limit: usize,
-    /// Waiters shed by the CoDel sojourn controller
-    /// ([`ServeError::QueueShed`]).
-    pub queue_shed: u64,
     /// Requests shed pre-admission by the process memory ceiling
     /// ([`ServeError::OverMemory`]).
     pub over_memory: u64,
@@ -419,7 +384,6 @@ struct Counters {
     completed: u64,
     rejected: u64,
     failed: u64,
-    over_budget: u64,
     coalesced: u64,
     deadline_shed: u64,
     retries: u64,
@@ -470,15 +434,6 @@ pub const PHASE_NAMES: [&str; 5] = ["unprotect", "planner", "split", "task", "me
 
 /// Entries the slow-request log retains (oldest evicted first).
 const SLOW_LOG_CAP: usize = 64;
-
-/// Successful completions observed before the AIMD latency target is
-/// seeded from the e2e histogram's median.
-const AIMD_WARMUP_SAMPLES: u64 = 32;
-
-/// Seeded AIMD target = warmup median × this multiple: the controller
-/// tolerates this much queueing-induced slowdown over the service's own
-/// warm latency before cutting concurrency.
-const AIMD_TARGET_MULTIPLE: u64 = 8;
 
 /// Observability state of a tracing-enabled service: the shared span
 /// recorder plus the serve-side latency histograms and the slow-request
@@ -640,13 +595,13 @@ struct CoalesceState {
     sealed: bool,
     /// The shared outcome: per-member results (in `reqs` order — they
     /// can differ when a failed coalesced evaluation degraded to
-    /// per-member evaluation) plus the total byte cost, or a
-    /// batch-level error (admission failure) every member reports.
+    /// per-member evaluation), or a batch-level error (admission
+    /// failure) every member reports.
     outcome: Option<BatchOutcome>,
 }
 
 /// Resolved outcome of a coalesced batch (see [`CoalesceState`]).
-type BatchOutcome = std::result::Result<(Vec<Result<Response>>, u64), ServeError>;
+type BatchOutcome = std::result::Result<Vec<Result<Response>>, ServeError>;
 
 impl CoalesceBatch {
     fn new(leader_req: Request, leader_trace: TraceId) -> CoalesceBatch {
@@ -743,8 +698,6 @@ struct ServiceInner {
     /// retry.
     drain_mu: Mutex<bool>,
     drain_cv: Condvar,
-    /// AIMD concurrency controller; `None` on a static-limit service.
-    aimd: Option<AimdController>,
     /// Per-pipeline circuit breakers.
     breakers: BreakerMap,
     /// EWMA of per-request byte footprint per pipeline (split + merge
@@ -787,9 +740,8 @@ impl ServiceInner {
 /// A multi-tenant, in-process pipeline service (the `mozart-serve`
 /// tentpole): every session shares one process-wide worker pool — no
 /// per-client thread oversubscription — and one plan cache, so repeated
-/// structurally identical pipelines skip the planner. Sessions carry
-/// optional byte budgets, and queued fingerprint-identical requests
-/// coalesce into one evaluation.
+/// structurally identical pipelines skip the planner. Queued
+/// fingerprint-identical requests coalesce into one evaluation.
 ///
 /// Cloning is cheap; clones share all state. See the crate docs for a
 /// quickstart.
@@ -805,7 +757,6 @@ impl PipelineService {
             config: ServiceConfig::default(),
             max_inflight: None,
             queue_depth: None,
-            adaptive_limit: None,
             session_config: None,
             pool: None,
             pipelines: Vec::new(),
@@ -827,8 +778,7 @@ impl PipelineService {
 
     /// Open a session: the handle requests go through. Sessions are
     /// cheap and `Send`; open one per client connection or per client
-    /// thread. The session starts with the service's default byte
-    /// budget ([`ServiceConfig::session_byte_budget`]).
+    /// thread.
     ///
     /// Session ids are allocated from a process-global counter, so
     /// they stay unique across services in one process.
@@ -841,8 +791,6 @@ impl PipelineService {
             service: self.clone(),
             id,
             requests: AtomicU64::new(0),
-            byte_budget: AtomicU64::new(inner.config.session_byte_budget),
-            bytes_used: AtomicU64::new(0),
             default_deadline_ms: AtomicU64::new(0),
             pipeline: AtomicBool::new(inner.session_config.pipeline),
             verify_plans: AtomicBool::new(inner.session_config.verify_plans),
@@ -885,7 +833,6 @@ impl PipelineService {
             completed: c.completed,
             rejected: c.rejected,
             failed: c.failed,
-            over_budget: c.over_budget,
             deadline_shed: c.deadline_shed,
             retries: c.retries,
             slow: c.slow,
@@ -897,8 +844,7 @@ impl PipelineService {
             waiting,
             plan_cache: inner.cache.stats(),
             pool: inner.pool.stats(),
-            admission_limit: inner.admission.limit(),
-            queue_shed: inner.admission.queue_shed_total() as u64,
+            admission_limit: inner.config.max_inflight,
             over_memory: c.over_memory,
             breaker_shed: c.breaker_shed,
             breaker_open: inner
@@ -923,16 +869,6 @@ impl PipelineService {
             .into_iter()
             .map(|(name, state, opened)| (name, state.as_str(), opened))
             .collect()
-    }
-
-    /// The current adaptive concurrency limit (the configured
-    /// `max_inflight` on a static-limit service) and, when adaptive,
-    /// the AIMD latency target once established.
-    pub fn admission_limit(&self) -> (usize, Option<Duration>) {
-        (
-            self.inner.admission.limit(),
-            self.inner.aimd.as_ref().and_then(|a| a.target()),
-        )
     }
 
     /// Whether the service was built with tracing
@@ -1023,12 +959,6 @@ impl PipelineService {
             "mozart_requests_failed_total",
             "Requests failed inside the pipeline",
             s.failed,
-        );
-        render_counter(
-            &mut out,
-            "mozart_requests_over_budget_total",
-            "Requests shed by session byte budgets",
-            s.over_budget,
         );
         render_counter(
             &mut out,
@@ -1130,14 +1060,8 @@ impl PipelineService {
         render_gauge(
             &mut out,
             "mozart_admission_limit",
-            "Current (adaptive) concurrency limit",
+            "Concurrent evaluations admitted",
             s.admission_limit as u64,
-        );
-        render_counter(
-            &mut out,
-            "mozart_queue_shed_total",
-            "Waiters shed by the CoDel sojourn controller",
-            s.queue_shed,
         );
         render_counter(
             &mut out,
@@ -1310,9 +1234,6 @@ impl PipelineService {
             .deadline_ms()
             .or_else(|| session.deadline_ms())
             .map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
-        // The AIMD controller needs e2e latency whether or not tracing
-        // is on; one Instant pair is cheap enough to take always.
-        let t0 = inner.aimd.as_ref().map(|_| Instant::now());
         let result = self.execute_inner(session, pipeline, req, wait, deadline, trace);
         if let (Some(o), Some(t)) = (obs, timer) {
             let wall_ns = o.span_end(trace, SpanKind::Request, 0, 0, t);
@@ -1322,28 +1243,6 @@ impl PipelineService {
                 Err(e) => e.kind(),
             };
             o.note_slow(&inner.counters, trace, pipeline, outcome, deadline, wall_ns);
-        }
-        // Feed the limit controller with *successful* completions only:
-        // a shed request's latency says nothing about evaluation speed
-        // (rejections resolve instantly, queue sheds report pure wait).
-        if let (Some(aimd), Some(t0)) = (inner.aimd.as_ref(), t0) {
-            if result.is_ok() {
-                if !aimd.has_target() {
-                    if let Some(o) = obs {
-                        // Seed the latency target from the live e2e
-                        // histogram (the PR 7 observability layer): the
-                        // warmup median times a tolerated slowdown.
-                        let snap = o.e2e.snapshot();
-                        if snap.count >= AIMD_WARMUP_SAMPLES {
-                            aimd.seed_target_ns(snap.p50().saturating_mul(AIMD_TARGET_MULTIPLE));
-                        }
-                    }
-                    // Tracing off: the controller self-seeds from its
-                    // internal warmup window.
-                }
-                aimd.on_sample(t0.elapsed());
-                inner.admission.set_limit(aimd.limit());
-            }
         }
         (result, (trace != 0).then_some(trace))
     }
@@ -1367,7 +1266,6 @@ impl PipelineService {
             .get(pipeline)
             .cloned()
             .ok_or_else(|| ServeError::UnknownPipeline(pipeline.to_string()))?;
-        session.check_budget(inner)?;
 
         // Circuit breaker: a pipeline stuck in consecutive transient
         // failures fast-fails here — no admission permit, no pool time.
@@ -1480,7 +1378,6 @@ impl PipelineService {
 
         let (result, bytes) = self.run_attempts(session, &*handler, req, deadline, trace);
         inner.note_cost(pipeline, bytes);
-        session.bytes_used.fetch_add(bytes, Ordering::Relaxed);
         match result {
             Ok(resp) => {
                 breaker_pass.success();
@@ -1512,7 +1409,7 @@ impl PipelineService {
     /// expired request stops claiming batches instead of running to
     /// completion. Returns the final result plus the bytes split +
     /// merged across *all* attempts (failed work still cost the
-    /// machine; the session's budget sees it).
+    /// machine; the pipeline's footprint estimate sees it).
     fn run_attempts(
         &self,
         session: &Session,
@@ -1710,7 +1607,6 @@ impl PipelineService {
                 t,
             );
         }
-        let members = st.reqs.len() as u64;
         let Some(outcome) = st.outcome.as_ref() else {
             // Unreachable (the wait loop exits only once set); typed
             // rather than panicking so a bug here fails one request.
@@ -1719,16 +1615,13 @@ impl PipelineService {
             ))));
         };
         Some(match outcome {
-            Ok((results, bytes)) => {
+            Ok(results) => {
                 {
                     let mut c = lock(&inner.counters);
                     c.started += 1;
                     c.coalesced += 1;
                 }
                 session.requests.fetch_add(1, Ordering::Relaxed);
-                session
-                    .bytes_used
-                    .fetch_add(bytes / members.max(1), Ordering::Relaxed);
                 let own = results.get(idx).cloned().unwrap_or_else(|| {
                     Err(ServeError::Runtime(mozart_core::Error::Library(
                         "coalesced batch outcome is missing this member's slot".into(),
@@ -1832,12 +1725,9 @@ impl PipelineService {
         let (results, bytes) = self.eval_batch(session, handler, &reqs, deadline, trace);
         drop(permit);
 
-        // The batch's byte cost splits evenly across members (failed
-        // work included): it must not land on the leader's budget alone.
+        // The footprint estimate is per request: the batch's byte cost
+        // (failed work included) splits evenly across its members.
         inner.note_cost(&guard.key.0, bytes / reqs.len() as u64);
-        session
-            .bytes_used
-            .fetch_add(bytes / reqs.len() as u64, Ordering::Relaxed);
         let own = results.first().cloned().unwrap_or_else(|| {
             Err(ServeError::Runtime(mozart_core::Error::Library(
                 "coalesced batch produced no leader result".into(),
@@ -1856,7 +1746,7 @@ impl PipelineService {
                 Err(_) => c.failed += 1,
             }
         }
-        guard.finish(Ok((results, bytes)));
+        guard.finish(Ok(results));
         own
     }
 
@@ -2109,9 +1999,6 @@ pub struct ServiceBuilder {
     /// without clobbering values the operator set.
     max_inflight: Option<usize>,
     queue_depth: Option<usize>,
-    /// Explicit adaptive-limit override; `None` derives it: adaptive
-    /// unless the operator pinned `max_inflight` (the static ablation).
-    adaptive_limit: Option<bool>,
     session_config: Option<Config>,
     pool: Option<PoolHandle>,
     pipelines: Vec<Arc<dyn Pipeline>>,
@@ -2126,38 +2013,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Concurrent evaluations admitted. Pinning this explicitly also
-    /// selects the **static** limit (the measured ablation) unless
-    /// [`ServiceBuilder::adaptive_limit`] re-enables the controller —
-    /// an operator who states a number usually means it.
+    /// Concurrent evaluations admitted.
     pub fn max_inflight(mut self, n: usize) -> Self {
         self.max_inflight = Some(n.max(1));
-        self
-    }
-
-    /// Force the adaptive AIMD concurrency limiter on or off (see
-    /// [`ServiceConfig::adaptive_limit`]). Without this call the
-    /// limiter is on exactly when `max_inflight` was *not* pinned.
-    pub fn adaptive_limit(mut self, on: bool) -> Self {
-        self.adaptive_limit = Some(on);
-        self
-    }
-
-    /// Explicit AIMD latency target in milliseconds (0 = seed from the
-    /// measured latency distribution; see
-    /// [`ServiceConfig::aimd_target_ms`]).
-    pub fn aimd_target_ms(mut self, ms: u64) -> Self {
-        self.config.aimd_target_ms = ms;
-        self
-    }
-
-    /// CoDel queue-sojourn parameters: acceptable standing queue wait
-    /// and the persistence interval before the first head shed (see
-    /// [`ServeError::QueueShed`]). Active only with the adaptive
-    /// limiter.
-    pub fn codel_ms(mut self, target_ms: u64, interval_ms: u64) -> Self {
-        self.config.codel_target_ms = target_ms;
-        self.config.codel_interval_ms = interval_ms;
         self
     }
 
@@ -2189,14 +2047,6 @@ impl ServiceBuilder {
     /// Plans the shared cache retains.
     pub fn plan_cache_capacity(mut self, n: usize) -> Self {
         self.config.plan_cache_capacity = n.max(1);
-        self
-    }
-
-    /// Default byte budget for new sessions (0 = unlimited); see
-    /// [`ServeError::OverBudget`]. Individual sessions can override it
-    /// with [`Session::set_byte_budget`].
-    pub fn session_byte_budget(mut self, bytes: u64) -> Self {
-        self.config.session_byte_budget = bytes;
         self
     }
 
@@ -2277,10 +2127,6 @@ impl ServiceBuilder {
         let mut config = self.config;
         config.max_inflight = self.max_inflight.unwrap_or(config.workers);
         config.queue_depth = self.queue_depth.unwrap_or(4 * config.workers);
-        // Adaptive unless the operator pinned max_inflight: a pinned
-        // limit is the static ablation, an unpinned one is a guess the
-        // controller can do better than.
-        config.adaptive_limit = self.adaptive_limit.unwrap_or(self.max_inflight.is_none());
         let pool = self
             .pool
             .unwrap_or_else(|| PoolHandle::new(config.workers.max(1) - 1));
@@ -2305,34 +2151,9 @@ impl ServiceBuilder {
         if config.memory_ceiling_bytes > 0 {
             membudget::set_ceiling(config.memory_ceiling_bytes);
         }
-        let admission = if config.adaptive_limit {
-            Admission::with_codel(
-                config.max_inflight,
-                config.queue_depth,
-                CodelCfg {
-                    target: Duration::from_millis(config.codel_target_ms),
-                    interval: Duration::from_millis(config.codel_interval_ms),
-                },
-            )
-        } else {
-            Admission::new(config.max_inflight, config.queue_depth)
-        };
-        let aimd = config.adaptive_limit.then(|| {
-            AimdController::new(AimdConfig {
-                min_limit: 1,
-                // Headroom above the static default: the controller may
-                // discover the pool sustains more concurrency than one
-                // evaluation per worker, but a runaway limit is capped.
-                max_limit: (4 * config.workers).max(8),
-                initial_limit: config.max_inflight,
-                target: (config.aimd_target_ms > 0)
-                    .then(|| Duration::from_millis(config.aimd_target_ms)),
-                decrease_ratio_permille: 900,
-            })
-        });
         let service = PipelineService {
             inner: Arc::new(ServiceInner {
-                admission,
+                admission: Admission::new(config.max_inflight, config.queue_depth),
                 cache: Arc::new(PlanCache::new(config.plan_cache_capacity)),
                 session_config,
                 pool,
@@ -2343,7 +2164,6 @@ impl ServiceBuilder {
                 draining: AtomicBool::new(false),
                 drain_mu: Mutex::new(false),
                 drain_cv: Condvar::new(),
-                aimd,
                 breakers: BreakerMap::new(BreakerConfig {
                     threshold: config.breaker_threshold,
                     cooldown: Duration::from_millis(config.breaker_cooldown_ms),
@@ -2361,17 +2181,12 @@ impl ServiceBuilder {
 }
 
 /// One client's handle onto a [`PipelineService`]: it carries the
-/// client's byte budget, default deadline and evaluation modes across
+/// client's default deadline and evaluation modes across
 /// the short-lived request contexts it opens.
 pub struct Session {
     service: PipelineService,
     id: u64,
     requests: AtomicU64,
-    /// Byte budget (0 = unlimited); see [`ServeError::OverBudget`].
-    byte_budget: AtomicU64,
-    /// Bytes split + merged on this session's behalf, accumulated from
-    /// each request context's phase stats.
-    bytes_used: AtomicU64,
     /// Default deadline in milliseconds for requests that carry none
     /// (0 = no default; sub-millisecond settings round up to 1).
     default_deadline_ms: AtomicU64,
@@ -2395,41 +2210,6 @@ impl Session {
     /// Requests this session has submitted.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
-    }
-
-    /// This session's byte budget (0 = unlimited).
-    pub fn byte_budget(&self) -> u64 {
-        self.byte_budget.load(Ordering::Relaxed)
-    }
-
-    /// Set this session's byte budget (0 = unlimited). Once
-    /// [`Session::bytes_used`] reaches the budget, further requests are
-    /// shed with [`ServeError::OverBudget`].
-    pub fn set_byte_budget(&self, bytes: u64) {
-        self.byte_budget.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Bytes split + merged on this session's behalf so far.
-    pub fn bytes_used(&self) -> u64 {
-        self.bytes_used.load(Ordering::Relaxed)
-    }
-
-    /// Shed the request if the session's byte budget is exhausted.
-    fn check_budget(&self, inner: &ServiceInner) -> Result<()> {
-        let budget = self.byte_budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return Ok(());
-        }
-        let used = self.bytes_used.load(Ordering::Relaxed);
-        if used >= budget {
-            lock(&inner.counters).over_budget += 1;
-            return Err(ServeError::OverBudget {
-                session: self.id,
-                used_bytes: used,
-                budget_bytes: budget,
-            });
-        }
-        Ok(())
     }
 
     /// This session's default deadline in milliseconds for requests
@@ -2516,10 +2296,9 @@ impl Session {
     }
 
     /// A fresh context wired like this session's request contexts
-    /// (shared pool, shared plan cache, this session's tag) — for
-    /// callers that want to run ad-hoc annotated calls under the
-    /// service's resource envelope. Bypasses admission control and
-    /// byte-budget metering.
+    /// (shared pool, shared plan cache, this session's evaluation modes)
+    /// — for callers that want to run ad-hoc annotated calls under the
+    /// service's resource envelope. Bypasses admission control.
     pub fn context(&self) -> MozartContext {
         self.service.request_context(self)
     }

@@ -80,9 +80,11 @@ fn malformed_corpus_gets_typed_errors_and_never_hangs() {
         "ping extra_without_equals",
         "ping =novalue",
         "WEIGHT over9000!",
-        // An old client's weight line (`WEIGHT` is no verb): a typed
-        // error, and the connection keeps serving.
+        // An old client's weight or budget line (`WEIGHT` and
+        // `BUDGET` are no verbs): a typed error, and the connection
+        // keeps serving.
         "WEIGHT 2",
+        "BUDGET 1",
         "STATS STATS",
     ] {
         let reply = roundtrip(&mut w, &mut r, garbage);
@@ -206,4 +208,28 @@ fn verify_directive_toggles_per_session() {
         assert!(reply.starts_with("ERR bad_request"), "{bad:?} -> {reply:?}");
     }
     assert!(roundtrip(&mut w, &mut r, "QUIT").starts_with("OK bye"));
+}
+
+#[test]
+fn sequential_round_trips_do_not_stall_on_nagle() {
+    // Regression: a reply sent as two writes (body, then `\n`) left the
+    // newline to Nagle's algorithm, which held it until the client's
+    // delayed ACK — about 40 ms on every round trip over loopback.
+    let (addr, _service) = spawn_frontend(corpus_cfg());
+    let (mut w, mut r) = connect(addr);
+    w.set_nodelay(true).expect("client nodelay");
+    let mut lat: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let reply = roundtrip(&mut w, &mut r, "LIST");
+            assert!(reply.starts_with("OK ping"), "{reply:?}");
+            t0.elapsed()
+        })
+        .collect();
+    lat.sort_unstable();
+    let median = lat[lat.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median LIST round trip {median:?} (all: {lat:?})"
+    );
 }

@@ -1,14 +1,12 @@
 //! Overload-resilience tests: circuit-breaker lifecycle under a
-//! deterministic [`FaultPlan`], AIMD convergence as a property test,
-//! and memory-ceiling shedding.
+//! deterministic [`FaultPlan`], the fixed admission limit, and
+//! memory-ceiling shedding.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use mozart_core::{membudget, Config, FaultKind, FaultPhase, FaultPlan, FaultPoint, MozartContext};
-use mozart_serve::{
-    AimdConfig, AimdController, Pipeline, PipelineService, Request, Response, ServeError,
-};
+use mozart_serve::{Pipeline, PipelineService, Request, Response, ServeError};
 
 /// A service whose evaluations fail with injected transient faults
 /// until the plan's budget runs out — the breaker's natural prey.
@@ -109,52 +107,6 @@ fn failed_probe_reopens_for_another_cooldown() {
     assert_eq!(service.breaker_states()[0].1, "closed");
 }
 
-/// The AIMD property the tentpole rests on: from any starting point,
-/// against a service with a fixed concurrency capacity (good latency
-/// at or under capacity, bad above), the limit converges to a sawtooth
-/// around the capacity and stays there.
-#[test]
-fn aimd_converges_to_service_capacity_from_any_start() {
-    let capacity = 20usize;
-    for initial in [1usize, 64, 256] {
-        let c = AimdController::new(AimdConfig {
-            min_limit: 1,
-            max_limit: 256,
-            initial_limit: initial,
-            target: Some(Duration::from_millis(10)),
-            decrease_ratio_permille: 900,
-        });
-        let latency_at = |limit: usize| {
-            if limit <= capacity {
-                Duration::from_millis(1)
-            } else {
-                Duration::from_millis(50)
-            }
-        };
-        // Converge...
-        for _ in 0..8_000 {
-            c.on_sample(latency_at(c.limit()));
-        }
-        // ...then the limit must stay in the sawtooth band around
-        // capacity: never more than one step above, never below one
-        // multiplicative cut (×0.9) minus rounding.
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for _ in 0..2_000 {
-            c.on_sample(latency_at(c.limit()));
-            lo = lo.min(c.limit());
-            hi = hi.max(c.limit());
-        }
-        assert!(
-            hi <= capacity + 1,
-            "start {initial}: limit overshot to {hi} (capacity {capacity})"
-        );
-        assert!(
-            lo + 1 >= capacity * 9 / 10,
-            "start {initial}: limit collapsed to {lo} (capacity {capacity})"
-        );
-    }
-}
-
 /// A pipeline that allocates nothing, so the global memory counters in
 /// this test move only when the test says so.
 struct TinyPipeline;
@@ -209,32 +161,7 @@ fn over_memory_sheds_with_typed_error_and_recovers() {
 }
 
 #[test]
-fn adaptive_service_seeds_its_target_from_live_latency() {
-    // No pinned max_inflight: the adaptive limiter is on. With tracing
-    // enabled the target seeds from the e2e histogram once a warmup's
-    // worth of requests (32) complete.
-    let service = PipelineService::builder()
-        .workers(1)
-        .tracing(true)
-        .pipeline(Arc::new(TinyPipeline))
-        .build();
-    let session = service.session();
-    let (_, target) = service.admission_limit();
-    assert!(target.is_none(), "no target before warmup");
-    for _ in 0..40 {
-        session.call("tiny", &Request::new()).unwrap();
-    }
-    let (limit, target) = service.admission_limit();
-    assert!(limit >= 1);
-    assert!(
-        target.is_some(),
-        "target must seed from the e2e histogram after warmup"
-    );
-    assert!(service.stats().admission_limit >= 1);
-}
-
-#[test]
-fn pinned_max_inflight_is_the_static_ablation() {
+fn admission_limit_is_the_configured_max_inflight() {
     let service = PipelineService::builder()
         .workers(1)
         .max_inflight(3)
@@ -244,7 +171,13 @@ fn pinned_max_inflight_is_the_static_ablation() {
     for _ in 0..40 {
         session.call("tiny", &Request::new()).unwrap();
     }
-    let (limit, target) = service.admission_limit();
-    assert_eq!(limit, 3, "a pinned limit never moves");
-    assert!(target.is_none(), "the static ablation has no controller");
+    assert_eq!(service.config().max_inflight, 3);
+    assert_eq!(
+        service.stats().admission_limit,
+        3,
+        "the limit is fixed at build time"
+    );
+    // Unpinned, the limit defaults to the worker count.
+    let service = PipelineService::builder().workers(2).build();
+    assert_eq!(service.stats().admission_limit, 2);
 }

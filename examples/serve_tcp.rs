@@ -35,10 +35,10 @@
 //! buffering; clients that stall mid-request or idle past the timeout
 //! are dropped; accepts past the connection cap get one
 //! `ERR saturated` line and are closed before a serving thread exists.
-//! The service itself runs with the adaptive overload controls on
-//! (AIMD concurrency limit, CoDel queue shedding, per-pipeline circuit
-//! breakers; see the `mozart_serve` crate docs), and
-//! `MOZART_SERVE_MEM_CEILING` arms the process-wide memory budget.
+//! The service itself admits at most `workers` concurrent evaluations
+//! behind a bounded FIFO queue, runs per-pipeline circuit breakers
+//! (see the `mozart_serve` crate docs), and
+//! `MOZART_SERVE_MEM_CEILING` arms the process-wide memory ceiling.
 //!
 //! Observability: the example serves with tracing **on** by default
 //! (set `MOZART_SERVE_TRACING=0` to disable) — every `OK` call reply
@@ -52,21 +52,17 @@
 //! ```text
 //! > LIST
 //! OK black_scholes crime_index haversine nashville
-//! > BUDGET 500000000
-//! OK budget=500000000
 //! > black_scholes n=4096
 //! OK call_sum=47332.145277 put_sum=39160.581264
 //! > STATS
-//! OK started=1 completed=1 rejected=0 failed=0 over_budget=0 ... admission_limit=4 ...
+//! OK started=1 completed=1 rejected=0 failed=0 deadline_shed=0 ... admission_limit=4 ...
 //! > QUIT
 //! OK bye
 //! ```
 //!
-//! `BUDGET` caps the bytes the session may split/merge before requests
-//! are shed with `ERR over_budget` (0 = unlimited). `STATS` reports the service
-//! counters in the stable order documented in
-//! [`mozart_serve::protocol`], including the overload fields
-//! (`admission_limit`, `queue_shed`, `over_memory`, `breaker_shed`,
+//! `STATS` reports the service counters in the stable order documented
+//! in [`mozart_serve::protocol`], including the overload fields
+//! (`admission_limit`, `over_memory`, `breaker_shed`,
 //! `breaker_open`, `memory_live_bytes`, `memory_ceiling_bytes`).
 //!
 //! `PIPELINE <0|1>` picks the session's stage evaluation mode: `1`
@@ -275,10 +271,11 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
     // error is the point of the exchange.
     let script = [
         ("LIST", "OK"),
-        // `WEIGHT` is not a verb: an old client's weight line is a
-        // typed bad request, and the connection keeps serving.
+        // `WEIGHT` and `BUDGET` are not verbs: an old client's weight
+        // or budget line is a typed bad request, and the connection
+        // keeps serving.
         ("WEIGHT 2", "ERR bad_request"),
-        ("BUDGET 500000000", "OK"),
+        ("BUDGET 500000000", "ERR bad_request"),
         ("black_scholes n=2048", "OK"),
         ("black_scholes n=2048", "OK"), // identical: plan-cache replay
         ("haversine n=1024 seed=3", "OK"),
@@ -287,7 +284,6 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
         ("no_such_pipeline", "ERR"),
         ("black_scholes n=abc", "ERR"),
         ("black_scholes n=2048 n=4096", "ERR"), // duplicate key rejected
-        ("BUDGET lots", "ERR"),
         // An already-expired deadline sheds with the typed error before
         // any work starts.
         (
@@ -340,7 +336,7 @@ fn run_self_test(addr: std::net::SocketAddr, metrics_addr: std::net::SocketAddr)
 
     // The overload fields ride at the end of STATS in stable order.
     let stats = exchange(&mut writer, &mut reader, "STATS", "OK");
-    for key in ["admission_limit", "queue_shed", "breaker_open"] {
+    for key in ["admission_limit", "breaker_open"] {
         assert!(stats.contains(&format!(" {key}=")), "STATS missing {key}");
     }
 
